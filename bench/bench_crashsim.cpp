@@ -242,24 +242,18 @@ dumpOpLogs(const std::string &path,
 }
 
 /**
- * Read a checkpoint with generation fallback, the way recovery does:
- * newest first, rotated predecessor second. @return the raw bytes of
- * the generation that verified, or "" when both are torn/absent —
- * never an image that failed its checksum.
+ * The raw bytes of the generation recovery restores from
+ * (readNewestCheckpoint, the production reader), or "" when neither
+ * generation verifies — never an image that failed its checksum.
  */
 std::string
-restoreWithFallback(const std::string &path)
+slurpNewest(const std::string &path)
 {
-    for (const std::string &candidate :
-         {path, checkpointPreviousGeneration(path)}) {
-        try {
-            readCheckpoint(candidate);
-            return slurp(candidate);
-        } catch (const CheckpointError &) {
-            // Detected corruption or absence: fall back.
-        }
+    try {
+        return slurp(readNewestCheckpoint(path).source);
+    } catch (const CheckpointError &) {
+        return "";  // Detected corruption or absence.
     }
-    return "";
 }
 
 /** Map a recorded path into the replay scratch root. */
@@ -322,10 +316,10 @@ verifyPrefix(Check &check, const Session &session,
             }
         }
 
-        // Checkpoint recovery: whatever reads back through the
-        // fallback chain must be an image the session really wrote.
+        // Checkpoint recovery: whatever the production reader
+        // restores must be an image the session really wrote.
         for (const std::string &ckpt : session.checkpointPaths) {
-            std::string bytes = restoreWithFallback(
+            std::string bytes = slurpNewest(
                 mapToScratch(ckpt, recordRoot, scratchRoot));
             if (bytes.empty())
                 continue;  // Lost progress: acceptable.
@@ -344,7 +338,7 @@ verifyPrefix(Check &check, const Session &session,
                 std::string hit = pool.lookup(key);
                 if (hit.empty())
                     continue;
-                std::string bytes = restoreWithFallback(hit);
+                std::string bytes = slurpNewest(hit);
                 check.expect(
                     bytes.empty() ||
                         session.imagePayloads.count(bytes) != 0,

@@ -18,7 +18,7 @@
  *     checkpoints must be recovered into the pool.
  *  3. Reference: each distinct spec's served document is compared
  *     byte for byte against a cold in-process run at the same
- *     autosave cadence (retries are disabled service-wide, so every
+ *     autosave cadence (only a failed run is ever rerun, so every
  *     served document is a first-attempt run).
  *
  * Exit status 0 only when every check passed.
@@ -164,7 +164,6 @@ main(int argc, char **argv)
     options.jobs = 2;
     options.queueMax = 8;
     options.warmS = warmS;
-    options.retries = 0;  // Reference phase expects first attempts.
 
     // A handful of distinct specs; every request maps onto one of
     // them, so the flood exercises journal hits and warm starts, not

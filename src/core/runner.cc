@@ -545,11 +545,8 @@ restoredRun(const std::string &title, const RunSpec &spec,
     return run;
 }
 
-/**
- * One-shot diagnostic rerun of a Failed spec: invariant sweeps
- * forced on, verbose logging, serial. The rerun replaces the failed
- * record (attempts=2); if it fails again the two errors are joined.
- */
+} // namespace
+
 void
 diagnoseRun(const std::string &title, const RunSpec &spec,
             const CancelToken &token, BenchmarkRun &into)
@@ -557,11 +554,8 @@ diagnoseRun(const std::string &title, const RunSpec &spec,
     status(msg() << "[" << title << "] diagnostic rerun of "
                  << runLabel(spec)
                  << " (invariant sweeps forced on)");
-    LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Verbose);
     BenchmarkRun retry = runSpecProtected(title, spec, token,
                                           /*forceInvariants=*/true);
-    setLogLevel(saved);
     retry.attempts = 2;
     if (retry.result.outcome == RunOutcome::Failed &&
         retry.error != into.error) {
@@ -571,8 +565,6 @@ diagnoseRun(const std::string &title, const RunSpec &spec,
     }
     into = std::move(retry);
 }
-
-} // namespace
 
 BenchmarkRun
 runSpecProtected(const std::string &title, const RunSpec &spec,
@@ -825,8 +817,12 @@ runExperiment(const ExperimentSpec &spec)
         if (run.restored() ||
             run.result.outcome != RunOutcome::Failed)
             continue;
-        if (spec.diagnose && !token.cancelled())
+        if (spec.diagnose && !token.cancelled()) {
+            LogLevel saved = logLevel();
+            setLogLevel(LogLevel::Verbose);
             diagnoseRun(spec.title, runs[i], token, run);
+            setLogLevel(saved);
+        }
         if (journal.isOpen()) {
             journal.append(makeJournalEntry(spec.title, runs[i],
                                             prints[i], run));

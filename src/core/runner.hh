@@ -319,6 +319,17 @@ BenchmarkRun runSpecProtected(const std::string &title,
                               bool forceInvariants = false);
 
 /**
+ * One-shot diagnostic rerun of the Failed spec @p spec whose record
+ * is @p into: invariant sweeps forced on. The rerun replaces the
+ * failed record (attempts=2); if it fails again with a different
+ * error, the two errors are joined. Leaves the log level alone, so
+ * concurrent callers (serve workers) may use it; runExperiment's
+ * diagnose=1 pass raises verbosity around it.
+ */
+void diagnoseRun(const std::string &title, const RunSpec &spec,
+                 const CancelToken &token, BenchmarkRun &into);
+
+/**
  * Render one run's pretty JSON object as standalone text. The same
  * text is spliced into the final document (via JsonWriter::rawValue)
  * and stored in the resume journal, so a restored run is

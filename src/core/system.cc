@@ -873,46 +873,27 @@ System::restoreCheckpoint(const std::string &path)
         fatal("System::restoreCheckpoint: attach the workload "
               "before restoring");
 
-    CheckpointImage image;
-    bool have_image = false;
-    std::string source = path;
+    CheckpointRead read;
     try {
-        image = readCheckpoint(path);
-        checkCheckpointCompatible(image, path);
-        have_image = true;
+        read = readNewestCheckpoint(path);
+        checkCheckpointCompatible(read.image, read.source);
     } catch (const CheckpointMismatch &err) {
         fatal(msg() << "cannot restore: " << err.what());
     } catch (const CheckpointError &err) {
-        warn(msg() << "checkpoint " << path << " is unusable ("
-                   << err.what()
-                   << "); falling back to the previous generation");
-    }
-    if (!have_image) {
-        source = checkpointPreviousGeneration(path);
-        try {
-            image = readCheckpoint(source);
-            checkCheckpointCompatible(image, source);
-            have_image = true;
-        } catch (const CheckpointMismatch &err) {
-            fatal(msg() << "cannot restore: " << err.what());
-        } catch (const CheckpointError &err) {
-            warn(msg() << "previous-generation checkpoint " << source
-                       << " is unusable too (" << err.what()
-                       << "); starting the run from scratch");
-            return false;
-        }
+        warn(msg() << err.what() << "; starting the run from scratch");
+        return false;
     }
 
     try {
-        applyCheckpointImage(image);
+        applyCheckpointImage(read.image);
     } catch (const CheckpointError &err) {
         // The image verified but a chunk would not parse: a format
         // bug, and the machine may be half restored — do not limp on.
-        panic(msg() << "checkpoint " << source << " verified but "
+        panic(msg() << "checkpoint " << read.source << " verified but "
                     << "failed to apply: " << err.what());
     }
     restoredState = true;
-    inform(msg() << "restored machine state from " << source
+    inform(msg() << "restored machine state from " << read.source
                  << " at tick " << queue.now());
     return true;
 }

@@ -211,7 +211,7 @@ class System : public PowerMeter
      * Arm periodic autosave checkpoints: once per @p every_seconds
      * of simulated time, run() writes the machine state to
      * @p autosave_path (atomic write-to-temp-then-rename, keeping
-     * the previous generation as "<path>.1"). 0 disables.
+     * one older generation; see autosaveCheckpoint). 0 disables.
      *
      * Taking a checkpoint squashes the pipeline at the checkpoint
      * tick (a deterministic perturbation), so bit-identity holds
@@ -239,8 +239,8 @@ class System : public PowerMeter
 
     /**
      * Restore machine state from a checkpoint file. Must be called
-     * after attachWorkload() and before run(). Damaged files fall
-     * back to the previous autosave generation ("<path>.1"); if both
+     * after attachWorkload() and before run(). Reads the newest
+     * generation that verifies (readNewestCheckpoint); if both
      * generations are unusable the run starts from scratch and this
      * returns false. A version or configuration-fingerprint mismatch
      * is fatal().

@@ -15,13 +15,6 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** File size, or 0 when the file is absent/unreadable. */
-std::uint64_t
-fileBytes(const std::string &path)
-{
-    return hostFileSize(path);
-}
-
 /** Parse a 16-hex-digit prefix; false when it is not one. */
 bool
 parseKeyPrefix(const std::string &name, std::uint64_t &key)
@@ -124,15 +117,6 @@ CheckpointPool::recover()
         refreshSizeLocked(key);
     }
 
-    auto verifies = [](const std::string &path) {
-        try {
-            readCheckpoint(path);
-            return true;
-        } catch (const CheckpointError &) {
-            return false;
-        }
-    };
-
     std::size_t promoted = 0;
     std::sort(poolRotated.begin(), poolRotated.end());
     for (const auto &[key, path] : poolRotated) {
@@ -141,18 +125,23 @@ CheckpointPool::recover()
         // The newest generation is gone: the survivor becomes the
         // pool slot again when it verifies, and is deleted when torn
         // (or the pool runs in scratch mode).
-        if (budget > 0 && verifies(path)) {
-            IoStatus moved = hostRename(path, poolPath(key),
-                                        durability);
-            if (moved) {
-                lru.push_back(key);
-                refreshSizeLocked(key);
-                ++promoted;
-                continue;
+        std::string slot = poolPath(key);
+        try {
+            if (budget > 0) {
+                readNewestCheckpoint(slot);  // Verifies the survivor.
+                IoStatus moved = hostRename(path, slot, durability);
+                if (moved) {
+                    lru.push_back(key);
+                    refreshSizeLocked(key);
+                    ++promoted;
+                    continue;
+                }
+                warn(msg() << "checkpoint pool: cannot restore "
+                           << "rotated generation '" << path
+                           << "': " << moved.message);
             }
-            warn(msg() << "checkpoint pool: cannot restore rotated "
-                       << "generation '" << path
-                       << "': " << moved.message);
+        } catch (const CheckpointError &) {
+            // Torn: deleted below.
         }
         hostRemoveBestEffort(path);
     }
@@ -162,42 +151,27 @@ CheckpointPool::recover()
         // torn by SIGKILL mid-write must not poison the pool slot.
         // A torn newest generation falls back to its rotated
         // predecessor before the progress is abandoned.
-        std::string candidate = path;
-        bool usable = verifies(candidate);
-        if (!usable) {
-            candidate = checkpointPreviousGeneration(path);
-            usable = fileBytes(candidate) > 0 && verifies(candidate);
+        std::string source;
+        try {
+            source = readNewestCheckpoint(path).source;
+        } catch (const CheckpointError &) {
+            // Neither generation verifies (or is compatible).
         }
-        if (!usable || budget == 0) {
-            hostRemoveBestEffort(path);
-            hostRemoveBestEffort(checkpointPreviousGeneration(path));
+        if (source.empty() || budget == 0) {
+            removeCheckpoint(path);
             continue;
         }
-        std::string pool = poolPath(key);
-        // Each rename is checked on its own: the rotation failing
-        // must not be masked by the promote succeeding (or vice
-        // versa), and a failed promote leaves the slot's previous
-        // contents — already budgeted above — untouched.
-        if (hostFileExists(pool)) {
-            IoStatus rotated = hostRename(
-                pool, checkpointPreviousGeneration(pool),
-                durability);
-            if (!rotated) {
-                warn(msg() << "checkpoint pool: cannot rotate '"
-                           << pool << "' for orphan promotion: "
-                           << rotated.message);
-                hostRemoveBestEffort(path);
-                hostRemoveBestEffort(
-                    checkpointPreviousGeneration(path));
-                continue;
-            }
-        }
-        IoStatus moved = hostRename(candidate, pool, durability);
-        hostRemoveBestEffort(path);
-        hostRemoveBestEffort(checkpointPreviousGeneration(path));
+        IoStatus moved =
+            promoteCheckpoint(source, poolPath(key), durability);
+        // A successful promote of the newest generation consumed the
+        // orphan; anything else leaves files behind to delete.
+        if (!moved || source != path)
+            removeCheckpoint(path);
         if (!moved) {
-            warn(msg() << "checkpoint pool: cannot promote orphan '"
-                       << candidate << "': " << moved.message);
+            // A failed promote leaves the slot's previous contents
+            // (already budgeted above) in place.
+            warn(msg() << "checkpoint pool: orphan: "
+                       << moved.message);
             refreshSizeLocked(key);
             continue;
         }
@@ -227,8 +201,7 @@ CheckpointPool::lookup(std::uint64_t key)
     if (it == sizes.end())
         return "";
     std::string path = poolPath(key);
-    if (fileBytes(path) == 0 &&
-        fileBytes(checkpointPreviousGeneration(path)) == 0) {
+    if (checkpointBytes(path) == 0) {
         // Both generations vanished under us; drop the entry.
         lru.remove(key);
         sizes.erase(it);
@@ -252,45 +225,22 @@ CheckpointPool::promote(std::uint64_t key,
                         const std::string &inflight_path)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    std::string previous =
-        checkpointPreviousGeneration(inflight_path);
-    if (budget == 0 || fileBytes(inflight_path) == 0) {
-        hostRemoveBestEffort(inflight_path);
-        hostRemoveBestEffort(previous);
+    if (budget == 0 || hostFileSize(inflight_path) == 0) {
+        removeCheckpoint(inflight_path);
         return false;
     }
-    std::string pool = poolPath(key);
-    // The rotate and the promote are checked separately: the old
-    // code funneled both renames through one error_code, so a failed
-    // rotation was silently overwritten by a successful promote —
-    // destroying the generation the fallback path depends on — and a
-    // failed promote could strand the in-flight file while the entry
-    // was still indexed.
-    if (hostFileExists(pool)) {
-        IoStatus rotated = hostRename(
-            pool, checkpointPreviousGeneration(pool), durability);
-        if (!rotated) {
-            warn(msg() << "checkpoint pool: cannot rotate '" << pool
-                       << "': " << rotated.message
-                       << " (keeping the existing image)");
-            hostRemoveBestEffort(inflight_path);
-            hostRemoveBestEffort(previous);
-            refreshSizeLocked(key);
-            return false;
-        }
-    }
-    IoStatus moved = hostRename(inflight_path, pool, durability);
+    // A failed rotation aborts the promote and keeps the existing
+    // image; a failed rename may leave the slot holding only its
+    // rotated generation. Either way re-stat, so the index never
+    // points at files that are not there.
+    IoStatus moved =
+        promoteCheckpoint(inflight_path, poolPath(key), durability);
     if (!moved) {
-        warn(msg() << "checkpoint pool: cannot promote "
-                   << inflight_path << ": " << moved.message);
-        hostRemoveBestEffort(inflight_path);
-        hostRemoveBestEffort(previous);
-        // The slot may now hold only the rotated generation; re-stat
-        // so the index never points at files that are not there.
+        warn(msg() << "checkpoint pool: " << moved.message);
+        removeCheckpoint(inflight_path);
         refreshSizeLocked(key);
         return false;
     }
-    hostRemoveBestEffort(previous);
     touchLocked(key);
     refreshSizeLocked(key);
     enforceBudgetLocked();
@@ -300,8 +250,7 @@ CheckpointPool::promote(std::uint64_t key,
 void
 CheckpointPool::discard(const std::string &inflight_path)
 {
-    hostRemoveBestEffort(inflight_path);
-    hostRemoveBestEffort(checkpointPreviousGeneration(inflight_path));
+    removeCheckpoint(inflight_path);
 }
 
 std::uint64_t
@@ -331,10 +280,7 @@ CheckpointPool::evictions() const
 void
 CheckpointPool::refreshSizeLocked(std::uint64_t key)
 {
-    std::string path = poolPath(key);
-    std::uint64_t total =
-        fileBytes(path) +
-        fileBytes(checkpointPreviousGeneration(path));
+    std::uint64_t total = checkpointBytes(poolPath(key));
     if (total == 0) {
         lru.remove(key);
         sizes.erase(key);
@@ -360,9 +306,7 @@ CheckpointPool::enforceBudgetLocked()
         std::uint64_t victim = lru.back();
         lru.pop_back();
         std::uint64_t size = sizes[victim];
-        std::string path = poolPath(victim);
-        hostRemoveBestEffort(path);
-        hostRemoveBestEffort(checkpointPreviousGeneration(path));
+        removeCheckpoint(poolPath(victim));
         sizes.erase(victim);
         used -= size;
         ++evicted;

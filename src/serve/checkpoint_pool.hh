@@ -8,10 +8,9 @@
  * same configuration never race on one file. When a job completes,
  * its newest image is promoted under the pool path for its machine
  * fingerprint — System::checkpointFingerprint(), which covers the
- * machine and workload but not run management like deadlines — with
- * the previous image kept one generation back, mirroring
- * autosaveCheckpoint's rotation so a corrupt newest image falls back
- * instead of failing. A later job with the same fingerprint restores
+ * machine and workload but not run management like deadlines — as a
+ * two-generation checkpoint file (sim/checkpoint.hh), so a corrupt
+ * newest image falls back instead of failing. A later job with the same fingerprint restores
  * from the pooled image and skips straight past warm-up.
  *
  * The pool is LRU-bounded by a byte budget. A budget of zero selects
@@ -68,9 +67,9 @@ class CheckpointPool
 
     /**
      * Path of the warm image for @p key, or "" on a miss. A hit
-     * counts as a use for LRU purposes. The returned path may have a
-     * previous generation beside it ("<path>.1") which
-     * System::restoreCheckpoint falls back to on corruption.
+     * counts as a use for LRU purposes. The path names a
+     * two-generation file; System::restoreCheckpoint reads its
+     * newest generation that verifies.
      */
     std::string lookup(std::uint64_t key);
 

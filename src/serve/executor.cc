@@ -1,10 +1,7 @@
 #include "executor.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -12,22 +9,6 @@
 
 namespace softwatt::serve
 {
-
-std::uint64_t
-retryBackoffMs(std::uint64_t baseMs, int attempt)
-{
-    // serve_retries allows dozens of attempts; an unclamped shift is
-    // undefined behaviour from attempt 65 on and a multi-day sleep
-    // long before that. Cap the growth at 2^6 and the delay at a few
-    // seconds (never below an explicitly larger base) so a worker
-    // thread is never wedged on one job's backoff.
-    constexpr std::uint64_t maxShift = 6;
-    constexpr std::uint64_t capMs = 5000;
-    std::uint64_t shift =
-        std::min(std::uint64_t(attempt > 0 ? attempt - 1 : 0),
-                 maxShift);
-    return std::min(baseMs << shift, std::max(baseMs, capMs));
-}
 
 bool
 parseServeSpec(const std::string &text, RunSpec &spec,
@@ -121,36 +102,17 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
         }
     }
 
-    int attempt = 0;
-    int maxAttempts = 1 + (options.retries > 0 ? options.retries : 0);
-    for (;;) {
-        ++attempt;
-        bool last = attempt >= maxAttempts;
-        // The final retry mirrors diagnose=1: invariant sweeps on,
-        // so the error that survives names the broken contract.
-        result.run = runSpecProtected(options.title, spec, token,
-                                      /*forceInvariants=*/last &&
-                                          attempt > 1);
-        if (result.run.result.outcome != RunOutcome::Failed ||
-            last || token.cancelled())
-            break;
-        // A failure after a warm start could be the image's fault;
-        // retry cold. Identical cadence keeps the document bytes
-        // unchanged either way.
+    // The simulator is deterministic, so a plain rerun fails the
+    // same way; the one rerun is the diagnose=1 rerun, with the
+    // invariant sweeps forced on so the error names the broken
+    // contract. A failure after a warm start could be the image's
+    // fault, so the rerun starts cold; the identical cadence keeps
+    // the document bytes unchanged either way.
+    result.run = runSpecProtected(options.title, spec, token);
+    if (result.run.result.outcome == RunOutcome::Failed &&
+        !token.cancelled()) {
         spec.restorePath.clear();
-        std::uint64_t delay =
-            retryBackoffMs(options.backoffMs, attempt);
-        // Sleep in slices so a cancel (client, wall deadline, or
-        // daemon shutdown) is not held hostage by the backoff.
-        auto until = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(delay);
-        while (!token.cancelled() &&
-               std::chrono::steady_clock::now() < until) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-        }
-        if (token.cancelled())
-            break;
+        diagnoseRun(options.title, spec, token, result.run);
     }
 
     if (armed) {
@@ -165,8 +127,7 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
             options.pool->discard(inflight);
     }
 
-    result.attempts = attempt;
-    result.run.attempts = attempt;
+    result.attempts = result.run.attempts;
     result.warmStarted = result.run.warmStarted;
     result.warmStartTick = result.run.warmStartTick;
     result.ticksExecuted = result.run.ticksExecuted;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-job execution policy of the serve daemon: warm-start from the
- * checkpoint pool, bounded retries with exponential backoff, and the
+ * checkpoint pool, one cold diagnostic rerun of a failed run, and the
  * evidence (attempts, warm-start tick, executed ticks) the response
  * envelope reports.
  *
@@ -30,20 +30,6 @@ struct ServeExecOptions
     std::string title = "serve";
 
     /**
-     * Extra attempts after the first for a run that Failed inside
-     * the exception firewall. The final attempt runs with the
-     * invariant sweeps forced on, mirroring diagnose=1, so the last
-     * error message pinpoints the broken contract.
-     */
-    int retries = 0;
-
-    /**
-     * Base retry backoff; the delay before retry k is
-     * retryBackoffMs(backoffMs, k): exponential but clamped.
-     */
-    std::uint64_t backoffMs = 0;
-
-    /**
      * Autosave cadence in simulated seconds; 0 disables
      * checkpointing entirely (and with it warm starts). Checkpoints
      * are a deterministic perturbation, so every run of a config —
@@ -67,7 +53,7 @@ struct ServeExecResult
     /** Pre-rendered run object (journal + document splice text). */
     std::string runJson;
 
-    /** Attempts consumed (1 = no retries needed). */
+    /** Attempts consumed (2 after the diagnostic rerun). */
     int attempts = 1;
 
     bool warmStarted = false;
@@ -81,10 +67,12 @@ struct ServeExecResult
 };
 
 /**
- * Execute @p spec under the service policy. Never throws: failures
- * come back as a run with RunOutcome::Failed. Requires a throwing
- * error handler to be installed (the daemon installs one for its
- * lifetime; see runSpecProtected).
+ * Execute @p spec under the service policy. A run that Failed inside
+ * the exception firewall is rerun once, cold, through diagnoseRun
+ * (invariant sweeps forced on) unless the job was cancelled. Never
+ * throws: failures come back as a run with RunOutcome::Failed.
+ * Requires a throwing error handler to be installed (the daemon
+ * installs one for its lifetime; see runSpecProtected).
  */
 ServeExecResult executeServeSpec(RunSpec spec,
                                  const ServeExecOptions &options,
@@ -100,14 +88,6 @@ ServeExecResult executeServeSpec(RunSpec spec,
  */
 bool parseServeSpec(const std::string &text, RunSpec &spec,
                     std::string &benchName, std::string &error);
-
-/**
- * Backoff before retry @p attempt (1-based index of the attempt that
- * just failed): @p baseMs doubled per attempt, with the growth
- * factor capped at 2^6 and the delay capped at max(baseMs, 5000) ms
- * — defined for every attempt count serve_retries allows.
- */
-std::uint64_t retryBackoffMs(std::uint64_t baseMs, int attempt);
 
 } // namespace softwatt::serve
 

@@ -63,8 +63,6 @@ ServeOptions::fromConfig(const Config &args)
     std::int64_t queueMax = args.getInt("serve_queue_max", 64);
     options.poolMb = args.getDouble("serve_pool_mb", 64.0);
     options.warmS = args.getDouble("serve_warm_s", 0.0);
-    std::int64_t retries = args.getInt("serve_retries", 1);
-    std::int64_t backoffMs = args.getInt("serve_backoff_ms", 100);
     options.wallTimeoutS = args.getDouble("serve_wall_timeout_s", 0.0);
     std::string durable = args.getString("durability", "buffered");
     bool knownDurability = false;
@@ -90,12 +88,6 @@ ServeOptions::fromConfig(const Config &args)
     if (!(options.warmS >= 0.0) || options.warmS > 1e18)
         fatal(msg() << "config: serve_warm_s must be a finite value "
                     << ">= 0 (got " << options.warmS << ")");
-    if (retries < 0 || retries > 100)
-        fatal(msg() << "config: serve_retries must be in [0, 100] "
-                    << "(got " << retries << ")");
-    if (backoffMs < 0 || backoffMs > 60000)
-        fatal(msg() << "config: serve_backoff_ms must be in "
-                    << "[0, 60000] (got " << backoffMs << ")");
     if (!(options.wallTimeoutS >= 0.0) || options.wallTimeoutS > 1e9)
         fatal(msg() << "config: serve_wall_timeout_s must be in "
                     << "[0, 1e9] (got " << options.wallTimeoutS
@@ -103,8 +95,6 @@ ServeOptions::fromConfig(const Config &args)
 
     options.jobs = int(jobs);
     options.queueMax = std::size_t(queueMax);
-    options.retries = int(retries);
-    options.backoffMs = std::uint64_t(backoffMs);
     return options;
 }
 
@@ -496,8 +486,6 @@ ServeServer::executeJob(const JobPtr &job)
     } else {
         ServeExecOptions policy;
         policy.title = job->request.experiment;
-        policy.retries = opts.retries;
-        policy.backoffMs = opts.backoffMs;
         policy.warmEveryS = opts.warmS;
         policy.pool = &poolStore;
         policy.durability = opts.durability;

@@ -9,8 +9,8 @@
  *  - Bounded admission with client-fair round-robin scheduling and a
  *    structured `overloaded` rejection once the queue is full.
  *  - Per-job wall and simulated deadlines, cooperative cancellation.
- *  - Bounded retries with exponential backoff behind the exception
- *    firewall; the final retry forces the invariant sweeps on.
+ *  - One cold diagnostic rerun of a run that failed behind the
+ *    exception firewall, with the invariant sweeps forced on.
  *  - Graceful drain: the first SIGTERM/SIGINT/SIGHUP (bridged to a
  *    CancelToken by the caller's SignalGuard) stops admissions and
  *    finishes admitted + in-flight work; a second signal cancels
@@ -71,12 +71,6 @@ struct ServeOptions
 
     /** serve_warm_s=: autosave cadence in simulated seconds; 0 off. */
     double warmS = 0.0;
-
-    /** serve_retries=: extra attempts for a Failed run. */
-    int retries = 1;
-
-    /** serve_backoff_ms=: base retry backoff (doubles per retry). */
-    std::uint64_t backoffMs = 100;
 
     /** serve_wall_timeout_s=: default per-job wall budget; 0 none. */
     double wallTimeoutS = 0.0;

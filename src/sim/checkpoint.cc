@@ -197,37 +197,6 @@ writeCheckpoint(const std::string &path,
     }
 }
 
-std::string
-checkpointPreviousGeneration(const std::string &path)
-{
-    return path + ".1";
-}
-
-void
-autosaveCheckpoint(const std::string &path,
-                   const CheckpointImage &image,
-                   Durability durability)
-{
-    // Rotate the current file to the previous generation first; the
-    // write itself goes through tmp+rename, so at every instant at
-    // least one complete generation exists on disk. A rotation
-    // failure is survivable — the overwrite still lands atomically,
-    // the pool just keeps a single generation for this cycle — so
-    // warn instead of failing the autosave.
-    std::string previous = checkpointPreviousGeneration(path);
-    if (hostFileExists(path)) {
-        hostRemoveBestEffort(previous);
-        IoStatus rotated = hostRename(path, previous, durability);
-        if (!rotated) {
-            warn(msg() << "checkpoint: cannot rotate '" << path
-                       << "' to '" << previous
-                       << "' (keeping a single generation): "
-                       << rotated.message);
-        }
-    }
-    writeCheckpoint(path, image, durability);
-}
-
 CheckpointImage
 readCheckpoint(const std::string &path)
 {
@@ -304,6 +273,104 @@ readCheckpoint(const std::string &path)
                               << "chunk");
     }
     return image;
+}
+
+std::string
+checkpointPreviousGeneration(const std::string &path)
+{
+    return path + ".1";
+}
+
+namespace
+{
+
+/** Move @p path onto its older generation with one rename, which
+ *  replaces the old "<path>.1" atomically; nothing to do when
+ *  @p path does not exist. */
+IoStatus
+rotateCheckpoint(const std::string &path, Durability durability)
+{
+    if (!hostFileExists(path))
+        return IoStatus::good();
+    return hostRename(path, checkpointPreviousGeneration(path),
+                      durability);
+}
+
+} // namespace
+
+void
+autosaveCheckpoint(const std::string &path,
+                   const CheckpointImage &image,
+                   Durability durability)
+{
+    // The write goes through tmp+rename, so at every instant at
+    // least one complete generation exists on disk. A rotation
+    // failure is survivable — the overwrite still lands atomically,
+    // keeping a single generation for this cycle — so warn instead
+    // of failing the autosave.
+    IoStatus rotated = rotateCheckpoint(path, durability);
+    if (!rotated) {
+        warn(msg() << "checkpoint: cannot rotate '" << path
+                   << "' (keeping a single generation): "
+                   << rotated.message);
+    }
+    writeCheckpoint(path, image, durability);
+}
+
+CheckpointRead
+readNewestCheckpoint(const std::string &path)
+{
+    try {
+        return {readCheckpoint(path), path};
+    } catch (const CheckpointMismatch &) {
+        throw;
+    } catch (const CheckpointError &err) {
+        warn(msg() << "checkpoint " << path << " is unusable ("
+                   << err.what()
+                   << "); falling back to the previous generation");
+    }
+    std::string previous = checkpointPreviousGeneration(path);
+    try {
+        return {readCheckpoint(previous), previous};
+    } catch (const CheckpointMismatch &) {
+        throw;
+    } catch (const CheckpointError &err) {
+        throw CheckpointError(msg() << "previous-generation checkpoint "
+                                    << previous << " is unusable too ("
+                                    << err.what() << ")");
+    }
+}
+
+IoStatus
+promoteCheckpoint(const std::string &from, const std::string &to,
+                  Durability durability)
+{
+    IoStatus rotated = rotateCheckpoint(to, durability);
+    if (!rotated) {
+        return IoStatus::failure(msg() << "cannot rotate '" << to
+                                       << "': " << rotated.message);
+    }
+    IoStatus moved = hostRename(from, to, durability);
+    if (!moved) {
+        return IoStatus::failure(msg() << "cannot promote '" << from
+                                       << "': " << moved.message);
+    }
+    hostRemoveBestEffort(checkpointPreviousGeneration(from));
+    return moved;
+}
+
+void
+removeCheckpoint(const std::string &path)
+{
+    hostRemoveBestEffort(path);
+    hostRemoveBestEffort(checkpointPreviousGeneration(path));
+}
+
+std::uint64_t
+checkpointBytes(const std::string &path)
+{
+    return hostFileSize(path) +
+           hostFileSize(checkpointPreviousGeneration(path));
 }
 
 } // namespace softwatt

@@ -24,10 +24,11 @@
  *     payload        payloadLen bytes
  *
  * Corruption (truncation, flipped bytes, bad magic) raises
- * CheckpointError and is recoverable by falling back to an older
- * autosave generation; a version or fingerprint mismatch raises
- * CheckpointMismatch and is rejected outright — no older generation
- * of the same file can fix an incompatible configuration.
+ * CheckpointError and is recoverable by falling back to the older
+ * generation (readNewestCheckpoint); a version or fingerprint
+ * mismatch raises CheckpointMismatch and is rejected outright — no
+ * older generation of the same file can fix an incompatible
+ * configuration.
  */
 
 #ifndef SOFTWATT_SIM_CHECKPOINT_HH
@@ -223,27 +224,72 @@ void writeCheckpoint(const std::string &path,
                      Durability durability = Durability::Buffered);
 
 /**
- * Autosave @p image to @p path keeping the last two generations:
- * the previous @p path (if any) is rotated to "<path>.1" before the
- * atomic write, so a crash — or corruption of the newest file — can
- * always fall back one generation. A failed rotation is survivable
- * (warn and overwrite in place, keeping a single generation); a
- * failed write throws CheckpointError with the prior generation
- * still intact on disk.
- */
-void autosaveCheckpoint(const std::string &path,
-                        const CheckpointImage &image,
-                        Durability durability = Durability::Buffered);
-
-/** The older-generation autosave path for @p path ("<path>.1"). */
-std::string checkpointPreviousGeneration(const std::string &path);
-
-/**
  * Parse and fully verify a checkpoint file: magic, version, chunk
  * framing and every payload checksum. Throws CheckpointMismatch on an
  * unsupported version and CheckpointError on any damage.
  */
 CheckpointImage readCheckpoint(const std::string &path);
+
+/*
+ * Two-generation checkpoint files. Every checkpoint that must
+ * survive a crash — a run's autosave, a serve pool slot — keeps its
+ * newest image at <path> and one older generation at "<path>.1",
+ * and only the functions below know it:
+ *
+ *  - a new image first rotates the current one onto "<path>.1"
+ *    with a single rename, which replaces the older generation
+ *    atomically, so at every instant one complete generation exists;
+ *  - a reader takes the newest generation that verifies;
+ *  - removal and size accounting cover both generations.
+ */
+
+/** The older-generation path for @p path ("<path>.1"). */
+std::string checkpointPreviousGeneration(const std::string &path);
+
+/**
+ * Autosave: rotate @p path, then write @p image atomically. A failed
+ * rotation is survivable (warn and overwrite in place, keeping a
+ * single generation); a failed write throws CheckpointError with the
+ * prior generation still intact on disk.
+ */
+void autosaveCheckpoint(const std::string &path,
+                        const CheckpointImage &image,
+                        Durability durability = Durability::Buffered);
+
+/** A verified image and the generation file it was read from. */
+struct CheckpointRead
+{
+    CheckpointImage image;
+    std::string source;
+};
+
+/**
+ * Read the newest generation of @p path that verifies: @p path
+ * itself, or "<path>.1" when @p path is damaged or absent (with a
+ * warning). A CheckpointMismatch is thrown straight away — no older
+ * generation can fix an incompatible image. Throws CheckpointError
+ * when neither generation verifies.
+ */
+CheckpointRead readNewestCheckpoint(const std::string &path);
+
+/**
+ * Promote the image at @p from onto @p to: rotate @p to, then rename
+ * @p from onto it. The rotation and the rename are checked on their
+ * own, and a failed rotation returns before the rename, so one can
+ * never mask the other. Once the rename lands, the older generation
+ * left beside @p from is stale and is deleted.
+ * @return the failed step's status, or success.
+ */
+IoStatus promoteCheckpoint(const std::string &from,
+                           const std::string &to,
+                           Durability durability);
+
+/** Delete both generations of @p path (best-effort cleanup). */
+void removeCheckpoint(const std::string &path);
+
+/** Combined size of both generations of @p path; 0 when neither
+ *  exists. */
+std::uint64_t checkpointBytes(const std::string &path);
 
 } // namespace softwatt
 

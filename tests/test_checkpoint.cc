@@ -39,7 +39,7 @@ scratch(const std::string &name)
 }
 
 void
-removeCheckpoint(const std::string &path)
+removeCheckpointFiles(const std::string &path)
 {
     std::remove(path.c_str());
     std::remove(checkpointPreviousGeneration(path).c_str());
@@ -197,7 +197,7 @@ TEST(CheckpointFormat, ReaderOverrunAndLeftoverThrow)
 TEST(CheckpointFormat, FileRoundTripsImage)
 {
     const std::string path = scratch("roundtrip.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
     CheckpointImage image = sampleImage();
     writeCheckpoint(path, image);
 
@@ -213,13 +213,13 @@ TEST(CheckpointFormat, FileRoundTripsImage)
     EXPECT_EQ(loaded.find("beta")->payload,
               image.find("beta")->payload);
     EXPECT_EQ(loaded.find("gamma"), nullptr);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointFormat, TruncationIsDetected)
 {
     const std::string path = scratch("truncated.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
     writeCheckpoint(path, sampleImage());
     std::vector<std::uint8_t> bytes = slurpBytes(path);
     ASSERT_GT(bytes.size(), 40u);
@@ -227,13 +227,13 @@ TEST(CheckpointFormat, TruncationIsDetected)
     bytes.resize(bytes.size() - 10);
     writeBytes(path, bytes);
     EXPECT_THROW(readCheckpoint(path), CheckpointError);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointFormat, FlippedPayloadByteIsDetected)
 {
     const std::string path = scratch("flipped.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
     writeCheckpoint(path, sampleImage());
     std::vector<std::uint8_t> bytes = slurpBytes(path);
     // Flip one byte near the end (inside the beta payload), leaving
@@ -241,25 +241,25 @@ TEST(CheckpointFormat, FlippedPayloadByteIsDetected)
     bytes[bytes.size() - 5] ^= 0x40;
     writeBytes(path, bytes);
     EXPECT_THROW(readCheckpoint(path), CheckpointError);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointFormat, BadMagicIsDetected)
 {
     const std::string path = scratch("magic.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
     writeCheckpoint(path, sampleImage());
     std::vector<std::uint8_t> bytes = slurpBytes(path);
     bytes[0] = 'X';
     writeBytes(path, bytes);
     EXPECT_THROW(readCheckpoint(path), CheckpointError);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointFormat, UnsupportedVersionIsMismatch)
 {
     const std::string path = scratch("version.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
     writeCheckpoint(path, sampleImage());
     std::vector<std::uint8_t> bytes = slurpBytes(path);
     // The u16 version sits right after the 6-byte magic.
@@ -267,7 +267,7 @@ TEST(CheckpointFormat, UnsupportedVersionIsMismatch)
     bytes[7] = 0xff;
     writeBytes(path, bytes);
     EXPECT_THROW(readCheckpoint(path), CheckpointMismatch);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointFormat, MissingFileIsCheckpointError)
@@ -279,7 +279,7 @@ TEST(CheckpointFormat, MissingFileIsCheckpointError)
 TEST(CheckpointFormat, AutosaveKeepsTwoGenerations)
 {
     const std::string path = scratch("generations.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     CheckpointImage first = sampleImage();
     first.configFingerprint = 1;
@@ -304,13 +304,13 @@ TEST(CheckpointFormat, AutosaveKeepsTwoGenerations)
     EXPECT_EQ(readCheckpoint(checkpointPreviousGeneration(path))
                   .configFingerprint,
               2u);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointRestore, RestoreAndContinueIsBitIdentical)
 {
     const std::string path = scratch("continue.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     // Reference: uninterrupted run with periodic autosave. The final
     // autosave on disk is a mid-run state some windows before the
@@ -342,15 +342,15 @@ TEST(CheckpointRestore, RestoreAndContinueIsBitIdentical)
     ASSERT_TRUE(older->run().ok());
     EXPECT_EQ(finalStateSignature(*older), expected);
 
-    removeCheckpoint(path);
-    removeCheckpoint(scratch("continue-older.ckpt"));
+    removeCheckpointFiles(path);
+    removeCheckpointFiles(scratch("continue-older.ckpt"));
 }
 
 TEST(CheckpointRestore, CorruptLatestFallsBackOneGeneration)
 {
     QuietLog quiet;
     const std::string path = scratch("fallback.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     std::unique_ptr<System> reference = makeSystem();
     reference->setCheckpointPolicy(tinyCadenceS, path);
@@ -358,27 +358,40 @@ TEST(CheckpointRestore, CorruptLatestFallsBackOneGeneration)
     ASSERT_GE(reference->checkpointsTaken(), 2u);
     const std::string expected = finalStateSignature(*reference);
 
-    // Flip a payload byte in the newest generation.
-    std::vector<std::uint8_t> bytes = slurpBytes(path);
-    bytes[bytes.size() / 2] ^= 0x01;
-    writeBytes(path, bytes);
+    const std::vector<std::uint8_t> newest = slurpBytes(path);
+    auto restoresFromPrevious = [&](const char *damage) {
+        SCOPED_TRACE(damage);
+        std::unique_ptr<System> restored = makeSystem();
+        restored->setCheckpointPolicy(
+            tinyCadenceS, scratch("fallback-b.ckpt"));
+        ASSERT_TRUE(restored->restoreCheckpoint(path));
+        ASSERT_TRUE(restored->run().ok());
+        EXPECT_EQ(finalStateSignature(*restored), expected);
+        removeCheckpointFiles(scratch("fallback-b.ckpt"));
+    };
 
-    std::unique_ptr<System> restored = makeSystem();
-    restored->setCheckpointPolicy(
-        tinyCadenceS, scratch("fallback-b.ckpt"));
-    ASSERT_TRUE(restored->restoreCheckpoint(path));
-    ASSERT_TRUE(restored->run().ok());
-    EXPECT_EQ(finalStateSignature(*restored), expected);
+    // A flipped payload byte in the newest generation.
+    std::vector<std::uint8_t> flipped = newest;
+    flipped[flipped.size() / 2] ^= 0x01;
+    writeBytes(path, flipped);
+    restoresFromPrevious("flipped byte");
 
-    removeCheckpoint(path);
-    removeCheckpoint(scratch("fallback-b.ckpt"));
+    // The newest file gone: a crash between rotation and write.
+    std::remove(path.c_str());
+    restoresFromPrevious("newest deleted");
+
+    // The newest file a zero-length stub: a torn rename.
+    writeBytes(path, {});
+    restoresFromPrevious("newest truncated to zero");
+
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointRestore, BothGenerationsCorruptStartsFromScratch)
 {
     QuietLog quiet;
     const std::string path = scratch("scorched.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     std::unique_ptr<System> reference = makeSystem();
     reference->setCheckpointPolicy(tinyCadenceS, path);
@@ -405,15 +418,15 @@ TEST(CheckpointRestore, BothGenerationsCorruptStartsFromScratch)
     ASSERT_TRUE(fresh->run().ok());
     EXPECT_EQ(finalStateSignature(*fresh), expected);
 
-    removeCheckpoint(path);
-    removeCheckpoint(scratch("scorched-b.ckpt"));
+    removeCheckpointFiles(path);
+    removeCheckpointFiles(scratch("scorched-b.ckpt"));
 }
 
 TEST(CheckpointRestore, FingerprintMismatchIsFatal)
 {
     QuietLog quiet;
     const std::string path = scratch("mismatch.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     std::unique_ptr<System> reference = makeSystem();
     reference->setCheckpointPolicy(tinyCadenceS, path);
@@ -427,7 +440,7 @@ TEST(CheckpointRestore, FingerprintMismatchIsFatal)
     setErrorHandler(throwingErrorHandler);
     EXPECT_THROW(other->restoreCheckpoint(path), SimError);
     setErrorHandler(nullptr);
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 }
 
 TEST(CheckpointRestore, FingerprintIgnoresCpuModel)
@@ -447,7 +460,7 @@ TEST(CheckpointRestore, FingerprintIgnoresCpuModel)
 TEST(CheckpointRestore, WarmStartSwitchesCpuModel)
 {
     const std::string path = scratch("warmstart.ckpt");
-    removeCheckpoint(path);
+    removeCheckpointFiles(path);
 
     // Warm up under the fast in-order model...
     std::unique_ptr<System> warmup = makeSystem(CpuModel::InOrder);
@@ -474,8 +487,8 @@ TEST(CheckpointRestore, WarmStartSwitchesCpuModel)
     }
     EXPECT_EQ(signatures[0], signatures[1]);
 
-    removeCheckpoint(path);
-    removeCheckpoint(scratch("warmstart-b.ckpt"));
+    removeCheckpointFiles(path);
+    removeCheckpointFiles(scratch("warmstart-b.ckpt"));
 }
 
 TEST(CheckpointRestore, PolicyValidation)

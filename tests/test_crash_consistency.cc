@@ -301,21 +301,15 @@ TEST(CrashReplay, AutosaveChainNeverServesACorruptImage)
     for (std::size_t prefix = 0; prefix <= log.size(); ++prefix) {
         for (CrashVariant variant : crashVariants) {
             replayCrashPrefix(log, prefix, variant, rec, replay);
-            // Restore-with-fallback: the newest generation first,
-            // the rotated one when the newest is torn or absent.
-            // Whatever reads cleanly must be an image we wrote —
-            // recovery may lose progress, never invent state.
+            // The production reader takes the newest generation
+            // that verifies. Whatever it returns must be an image we
+            // wrote — recovery may lose progress, never invent state.
             std::uint64_t restored = 0;
-            for (const std::string &candidate :
-                 {replayCkpt,
-                  checkpointPreviousGeneration(replayCkpt)}) {
-                try {
-                    restored =
-                        readCheckpoint(candidate).configFingerprint;
-                    break;
-                } catch (const CheckpointError &) {
-                    // Detected corruption/absence: fall back.
-                }
+            try {
+                restored = readNewestCheckpoint(replayCkpt)
+                               .image.configFingerprint;
+            } catch (const CheckpointError &) {
+                // Neither generation verifies: lost progress.
             }
             EXPECT_LE(restored, 3u)
                 << "prefix " << prefix << " variant "
@@ -369,14 +363,10 @@ TEST(CrashReplay, PoolPromoteRecoveryToleratesEveryPrefix)
             if (hit.empty())
                 continue;  // Lost progress: acceptable, cold start.
             std::uint64_t restored = 0;
-            for (const std::string &candidate :
-                 {hit, checkpointPreviousGeneration(hit)}) {
-                try {
-                    restored =
-                        readCheckpoint(candidate).configFingerprint;
-                    break;
-                } catch (const CheckpointError &) {
-                }
+            try {
+                restored =
+                    readNewestCheckpoint(hit).image.configFingerprint;
+            } catch (const CheckpointError &) {
             }
             EXPECT_LE(restored, 2u)
                 << "prefix " << prefix << " variant "

@@ -582,27 +582,6 @@ TEST(ServeSpec, UsesTheCallersInstalledHandler)
     EXPECT_NE(error.find("notakv"), std::string::npos);
 }
 
-TEST(ServeExecutor, RetryBackoffIsClampedAndDefined)
-{
-    using softwatt::serve::retryBackoffMs;
-
-    // The plain exponential prefix.
-    EXPECT_EQ(retryBackoffMs(100, 1), 100u);
-    EXPECT_EQ(retryBackoffMs(100, 2), 200u);
-    EXPECT_EQ(retryBackoffMs(100, 5), 1600u);
-
-    // Growth caps at 2^6 and the delay at a few seconds; attempt
-    // counts past 64 (serve_retries allows 100) must stay defined
-    // instead of shifting a 64-bit value by >= 64.
-    EXPECT_EQ(retryBackoffMs(100, 7), 5000u);
-    EXPECT_EQ(retryBackoffMs(100, 65), 5000u);
-    EXPECT_EQ(retryBackoffMs(100, 100), 5000u);
-    EXPECT_EQ(retryBackoffMs(0, 100), 0u);
-
-    // An explicitly large base is honoured but never exceeded.
-    EXPECT_EQ(retryBackoffMs(60000, 3), 60000u);
-}
-
 TEST(ServeSpec, OptionsValidateRanges)
 {
     ScopedErrorHandler firewall(throwingErrorHandler);
@@ -627,12 +606,6 @@ TEST(ServeSpec, OptionsValidateRanges)
     badJobs.parseAssignment("serve_state=/tmp/x.state");
     badJobs.parseAssignment("serve_jobs=0");
     EXPECT_THROW(ServeOptions::fromConfig(badJobs), SimError);
-
-    Config badRetries;
-    badRetries.parseAssignment("serve_socket=/tmp/x.sock");
-    badRetries.parseAssignment("serve_state=/tmp/x.state");
-    badRetries.parseAssignment("serve_retries=101");
-    EXPECT_THROW(ServeOptions::fromConfig(badRetries), SimError);
 }
 
 // ---------------------------------------------------------------
@@ -767,6 +740,43 @@ TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
     EXPECT_EQ(warm.runJson, coldRef.runJson);
 }
 
+TEST(ServeExecutor, FailedRunGetsOneDiagnosticRerun)
+{
+    ScopedErrorHandler firewall(throwingErrorHandler);
+    RunSpec spec;
+    std::string bench, error;
+    ASSERT_TRUE(parseServeSpec("bench=jess scale=0.05", spec, bench,
+                               error))
+        << error;
+    spec.injectFailure = "deliberately poisoned run";
+    ServeExecOptions policy;
+
+    softwatt::LogLevel saved = softwatt::logLevel();
+    softwatt::setLogLevel(softwatt::LogLevel::Normal);
+    CancelToken token;
+    testing::internal::CaptureStderr();
+    ServeExecResult failed = executeServeSpec(spec, policy, token);
+    std::string log = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(failed.attempts, 2);
+    EXPECT_EQ(failed.run.result.outcome, softwatt::RunOutcome::Failed);
+    // Exactly one rerun, and it forced the invariant sweeps on.
+    const std::string forced = "(invariant sweeps forced on)";
+    std::size_t at = log.find(forced);
+    EXPECT_NE(at, std::string::npos) << log;
+    EXPECT_EQ(log.find(forced, at + 1), std::string::npos) << log;
+
+    // A cancelled job is not rerun.
+    CancelToken cancelled;
+    cancelled.request(CancelToken::Hard);
+    testing::internal::CaptureStderr();
+    ServeExecResult stopped = executeServeSpec(spec, policy, cancelled);
+    log = testing::internal::GetCapturedStderr();
+    softwatt::setLogLevel(saved);
+    EXPECT_EQ(stopped.attempts, 1);
+    EXPECT_EQ(log.find(forced), std::string::npos) << log;
+}
+
 // ---------------------------------------------------------------
 // End to end: an in-process daemon driven through ServeClient.
 
@@ -811,7 +821,6 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
     options.statePath = dir + "/state";
     options.jobs = 2;
     options.warmS = 0.0001;
-    options.retries = 0;
 
     std::string firstDocument;
     {
@@ -898,7 +907,6 @@ TEST_F(ServeDirTest, ServerShedsWhenTheQueueIsFull)
     options.statePath = dir + "/state";
     options.jobs = 1;
     options.queueMax = 1;
-    options.retries = 0;
 
     ServeServer server(options);
     std::string error;
@@ -934,7 +942,6 @@ TEST_F(ServeDirTest, ServerCancelsAndEnforcesWallDeadlines)
     options.socketPath = dir + "/serve.sock";
     options.statePath = dir + "/state";
     options.jobs = 2;
-    options.retries = 0;
 
     ServeServer server(options);
     std::string error;
@@ -991,7 +998,6 @@ TEST_F(ServeDirTest, ServerReapsFinishedSessionThreads)
     options.socketPath = dir + "/serve.sock";
     options.statePath = dir + "/state";
     options.jobs = 1;
-    options.retries = 0;
 
     ServeServer server(options);
     std::string error;

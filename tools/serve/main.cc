@@ -6,7 +6,6 @@
  *   softwatt-serve serve_socket=/tmp/sw.sock serve_state=/tmp/swstate
  *                  [serve_jobs=N] [serve_queue_max=N]
  *                  [serve_pool_mb=M] [serve_warm_s=T]
- *                  [serve_retries=N] [serve_backoff_ms=T]
  *                  [serve_wall_timeout_s=T]
  *
  * The first SIGINT/SIGTERM/SIGHUP drains (no new admissions,
