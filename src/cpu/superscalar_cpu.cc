@@ -13,81 +13,54 @@ SuperscalarCpu::SuperscalarCpu(const MachineParams &params,
                                CounterSink &sink, KernelIface &kernel)
     : Cpu(params, hierarchy, tlb, sink, kernel)
 {
+    if (params.instWindowSize < 1)
+        fatal("cpu.inst_window must be at least 1");
+    std::size_t capacity = 1;
+    while (capacity < std::size_t(params.instWindowSize))
+        capacity <<= 1;
+    window.resize(capacity);
+    windowMask = capacity - 1;
 }
 
 bool
 SuperscalarCpu::pipelineEmpty() const
 {
-    return rob.empty() && fetchQueue.empty();
-}
-
-SuperscalarCpu::Entry *
-SuperscalarCpu::entryBySeq(std::uint64_t seq)
-{
-    if (rob.empty() || seq < rob.front().seq ||
-        seq > rob.back().seq) {
-        return nullptr;
-    }
-    return &rob[seq - rob.front().seq];
-}
-
-bool
-SuperscalarCpu::depSatisfied(std::uint64_t dep)
-{
-    if (dep == 0)
-        return true;
-    Entry *producer = entryBySeq(dep);
-    return producer == nullptr ||
-           producer->state == EntryState::Completed;
-}
-
-void
-SuperscalarCpu::rebuildProducers()
-{
-    regProducer.fill(0);
-    for (const Entry &entry : rob) {
-        if (entry.op.dst != noReg &&
-            entry.state != EntryState::Completed) {
-            regProducer[entry.op.dst] = entry.seq;
-        }
-    }
+    return windowCount == 0 && fetchCount == 0;
 }
 
 std::vector<MicroOp>
-SuperscalarCpu::squashFrom(std::uint64_t from_seq)
+SuperscalarCpu::squashCollect()
 {
     std::vector<MicroOp> replay;
-    while (!rob.empty() && rob.back().seq >= from_seq) {
-        replay.push_back(rob.back().op);
-        rob.pop_back();
-    }
-    std::reverse(replay.begin(), replay.end());
-    for (const FetchedOp &fetched : fetchQueue)
-        replay.push_back(fetched.op);
-    fetchQueue.clear();
+    replay.reserve(std::size_t(windowCount + fetchCount));
+    for (std::uint64_t seq = headSeq(); seq < nextSeq; ++seq)
+        replay.push_back(slot(seq).op);
+    for (int i = 0; i < fetchCount; ++i)
+        replay.push_back(fetchSlot(i).op);
 
-    if (fetchBlockedOnBranch >= from_seq)
-        fetchBlockedOnBranch = 0;
-    if (blockedSyscallSeq >= from_seq)
-        blockedSyscallSeq = 0;
-    // Reuse the squashed sequence numbers so entryBySeq's contiguous
-    // index arithmetic stays valid (replays are re-dispatched).
-    nextSeq = from_seq;
-    rebuildProducers();
+    nextSeq = headSeq();  // the replays reuse the squashed seqs
+    dropInFlight();
     return replay;
+}
+
+void
+SuperscalarCpu::dropInFlight()
+{
+    // With nothing in flight no register has a pending producer, no
+    // branch blocks fetch and no syscall serializes it.
+    windowCount = 0;
+    fetchCount = 0;
+    nextCompleteAt = ~std::uint64_t(0);
+    issueQuiet = false;
+    regProducer.fill(0);
+    fetchBlockedOnBranch = 0;
+    blockedSyscallSeq = 0;
 }
 
 std::vector<MicroOp>
 SuperscalarCpu::squashAllCollect()
 {
-    std::vector<MicroOp> replay =
-        rob.empty() ? std::vector<MicroOp>{}
-                    : squashFrom(rob.front().seq);
-    if (rob.empty() && replay.empty() && !fetchQueue.empty()) {
-        for (const FetchedOp &f : fetchQueue)
-            replay.push_back(f.op);
-        fetchQueue.clear();
-    }
+    std::vector<MicroOp> replay = squashCollect();
     squashAll();
     return replay;
 }
@@ -95,11 +68,7 @@ SuperscalarCpu::squashAllCollect()
 void
 SuperscalarCpu::squashAll()
 {
-    rob.clear();
-    fetchQueue.clear();
-    regProducer.fill(0);
-    fetchBlockedOnBranch = 0;
-    blockedSyscallSeq = 0;
+    dropInFlight();
     fetchBusyUntil = 0;
 }
 
@@ -131,27 +100,28 @@ void
 SuperscalarCpu::doCommit()
 {
     int committed = 0;
-    while (committed < params.commitWidth && !rob.empty() &&
-           rob.front().state == EntryState::Completed) {
-        Entry entry = rob.front();
-        rob.pop_front();
+    while (committed < params.commitWidth && windowCount > 0) {
+        const std::uint64_t seq = headSeq();
+        // The slot stays intact until a later dispatch reuses it.
+        const Entry &entry = slot(seq);
+        if (entry.state != EntryState::Completed)
+            break;
+        --windowCount;
         ++committed;
         ++totalCommitted;
         sink.add(entry.op.mode, CounterId::CommittedInsts, 1,
                  entry.op.frameTag);
-        if (regProducer[entry.op.dst != noReg ? entry.op.dst : 0] ==
-                entry.seq &&
-            entry.op.dst != noReg) {
+        if (entry.op.dst != noReg && regProducer[entry.op.dst] == seq)
             regProducer[entry.op.dst] = 0;
-        }
         if (entry.op.cls == InstClass::Syscall) {
-            if (blockedSyscallSeq == entry.seq)
+            if (blockedSyscallSeq == seq)
                 blockedSyscallSeq = 0;
             kernel.syscall(entry.op);
         }
         kernel.onCommit(entry.op);
     }
     if (committed > 0) {
+        issueQuiet = false;
         sink.add(sink.cycleMode(), CounterId::CommitCycles, 1,
                  sink.cycleTag());
     }
@@ -160,36 +130,52 @@ SuperscalarCpu::doCommit()
 void
 SuperscalarCpu::doWriteback()
 {
-    for (Entry &entry : rob) {
-        if (entry.state == EntryState::Issued &&
-            entry.completeAt <= now) {
-            entry.state = EntryState::Completed;
-            if (entry.op.dst != noReg) {
-                sink.add(entry.op.mode, CounterId::RegFileWrite, 1,
-                         entry.op.frameTag);
-                sink.add(entry.op.mode, CounterId::ResultBusOp, 1,
-                         entry.op.frameTag);
-            }
-            if (entry.mispredicted &&
-                fetchBlockedOnBranch == entry.seq) {
-                fetchBlockedOnBranch = 0;  // redirect resolved
-            }
+    if (now < nextCompleteAt)
+        return;
+    // Only the first issueScanLimit positions can have issued: an
+    // entry issues within them and its position only shrinks after.
+    const std::uint64_t head = headSeq();
+    const int span = std::min(windowCount, issueScanLimit);
+    std::uint64_t next = ~std::uint64_t(0);
+    for (int i = 0; i < span; ++i) {
+        Entry &entry = slot(head + std::uint64_t(i));
+        if (entry.state != EntryState::Issued)
+            continue;
+        if (entry.completeAt > now) {
+            next = std::min(next, entry.completeAt);
+            continue;
+        }
+        entry.state = EntryState::Completed;
+        issueQuiet = false;
+        if (entry.op.dst != noReg) {
+            sink.add(entry.op.mode, CounterId::RegFileWrite, 1,
+                     entry.op.frameTag);
+            sink.add(entry.op.mode, CounterId::ResultBusOp, 1,
+                     entry.op.frameTag);
+        }
+        if (entry.mispredicted &&
+            fetchBlockedOnBranch == head + std::uint64_t(i)) {
+            fetchBlockedOnBranch = 0;  // redirect resolved
         }
     }
+    nextCompleteAt = next;
 }
 
-bool
+void
 SuperscalarCpu::doIssue()
 {
+    if (issueQuiet)
+        return;
     int issued = 0;
     int int_units = params.intAlus;
     int fp_units = params.fpAlus;
     int mem_ports = 2;
-    int scanned = 0;
+    const std::uint64_t head = headSeq();
+    const int span = std::min(windowCount, issueScanLimit);
 
-    for (Entry &entry : rob) {
-        if (issued >= params.issueWidth || ++scanned > issueScanLimit)
-            break;
+    // Oldest first over the first issueScanLimit window positions.
+    for (int i = 0; i < span && issued < params.issueWidth; ++i) {
+        Entry &entry = slot(head + std::uint64_t(i));
         if (entry.state != EntryState::Waiting)
             continue;
         if (!depSatisfied(entry.depA) || !depSatisfied(entry.depB))
@@ -255,71 +241,74 @@ SuperscalarCpu::doIssue()
 
         entry.state = EntryState::Issued;
         entry.completeAt = now + latency;
+        nextCompleteAt = std::min(nextCompleteAt, entry.completeAt);
         ++issued;
     }
-    return false;
+    issueQuiet = issued == 0;
 }
 
 bool
 SuperscalarCpu::doDispatch()
 {
     int dispatched = 0;
-    while (dispatched < params.decodeWidth && !fetchQueue.empty() &&
-           int(rob.size()) < params.instWindowSize) {
-        FetchedOp fetched = fetchQueue.front();
-        fetchQueue.pop_front();
+    while (dispatched < params.decodeWidth && fetchCount > 0 &&
+           windowCount < params.instWindowSize) {
+        FetchedOp &head = fetchSlot(0);
 
         // Software-managed TLB: probe at dispatch (the effective
         // address is available). A miss is a precise exception: the
         // faulting instruction waits at dispatch until every older
         // instruction has committed, then traps — so the refill
         // handler runs unoverlapped, as on the R10000.
-        if (fetched.op.isMemOp() && !fetched.tlbProbed) {
-            fetched.tlbProbed = true;
-            fetched.tlbMissed = !dataTlbLookup(fetched.op);
+        if (head.op.isMemOp() && !head.tlbProbed) {
+            head.tlbProbed = true;
+            head.tlbMissed = !dataTlbLookup(head.op);
         }
-        if (fetched.tlbMissed) {
-            if (!rob.empty()) {
-                // Hold at dispatch while older work drains.
-                fetchQueue.push_front(fetched);
-                return false;
-            }
+        if (head.tlbMissed) {
+            if (windowCount > 0)
+                return false;  // hold at dispatch while older work drains
             std::vector<MicroOp> replay;
-            replay.push_back(fetched.op);
-            for (const FetchedOp &f : fetchQueue)
-                replay.push_back(f.op);
-            fetchQueue.clear();
+            replay.reserve(std::size_t(fetchCount));
+            for (int i = 0; i < fetchCount; ++i)
+                replay.push_back(fetchSlot(i).op);
+            fetchCount = 0;
             if (blockedSyscallSeq == ~std::uint64_t(0))
                 blockedSyscallSeq = 0;
-            kernel.dataTlbMiss(fetched.op.memAddr, fetched.op.asid,
+            kernel.dataTlbMiss(head.op.memAddr, head.op.asid,
                                std::move(replay));
             return true;
         }
 
-        Entry entry;
-        entry.op = fetched.op;
-        entry.seq = nextSeq++;
-        entry.mispredicted = fetched.mispredicted;
-        if (fetched.mispredicted && fetchBlockedOnBranch == 0)
-            fetchBlockedOnBranch = entry.seq;
+        const std::uint64_t seq = nextSeq++;
+        Entry &entry = slot(seq);
+        entry.op = head.op;
+        entry.completeAt = 0;
+        entry.state = EntryState::Waiting;
+        entry.mispredicted = head.mispredicted;
+        fetchHead = (fetchHead + 1) & (fetchQueueCap - 1);
+        --fetchCount;
+        ++windowCount;
+        issueQuiet = false;
 
-        if (entry.op.srcA != noReg)
-            entry.depA = regProducer[entry.op.srcA];
-        if (entry.op.srcB != noReg)
-            entry.depB = regProducer[entry.op.srcB];
-        if (entry.op.dst != noReg)
-            regProducer[entry.op.dst] = entry.seq;
+        const MicroOp &op = entry.op;
+        if (entry.mispredicted && fetchBlockedOnBranch == 0)
+            fetchBlockedOnBranch = seq;
+        // Serialize: fetch stays blocked until this syscall commits.
+        if (op.cls == InstClass::Syscall &&
+            blockedSyscallSeq == ~std::uint64_t(0))
+            blockedSyscallSeq = seq;
 
-        sink.add(entry.op.mode, CounterId::RenameOp, 1,
-                 entry.op.frameTag);
-        sink.add(entry.op.mode, CounterId::IssueWindowOp, 1,
-                 entry.op.frameTag);  // insert
-        if (entry.op.isMemOp()) {
-            sink.add(entry.op.mode, CounterId::LsqOp, 1,
-                     entry.op.frameTag);  // allocate
-        }
+        entry.depA = op.srcA != noReg ? regProducer[op.srcA] : 0;
+        entry.depB = op.srcB != noReg ? regProducer[op.srcB] : 0;
+        if (op.dst != noReg)
+            regProducer[op.dst] = seq;
 
-        rob.push_back(entry);
+        sink.add(op.mode, CounterId::RenameOp, 1, op.frameTag);
+        sink.add(op.mode, CounterId::IssueWindowOp, 1,
+                 op.frameTag);  // insert
+        if (op.isMemOp())
+            sink.add(op.mode, CounterId::LsqOp, 1, op.frameTag);  // allocate
+
         ++dispatched;
     }
     return false;
@@ -338,8 +327,7 @@ SuperscalarCpu::doFetch()
         return;
 
     int fetched = 0;
-    while (fetched < params.fetchWidth &&
-           int(fetchQueue.size()) < fetchQueueCap) {
+    while (fetched < params.fetchWidth && fetchCount < fetchQueueCap) {
         MicroOp op;
         FetchOutcome outcome = kernel.fetchNext(op);
         if (outcome == FetchOutcome::End) {
@@ -353,7 +341,8 @@ SuperscalarCpu::doFetch()
         MemAccessOutcome fetch_mem =
             hierarchy.ifetch(op.pc, op.mode, op.frameTag);
 
-        FetchedOp entry;
+        FetchedOp &entry = fetchSlot(fetchCount);
+        entry = FetchedOp{};
         entry.op = op;
 
         bool stop = false;
@@ -373,16 +362,13 @@ SuperscalarCpu::doFetch()
             }
         }
 
+        ++fetchCount;
+        ++fetched;
         if (op.cls == InstClass::Syscall) {
             // Serialize: stop fetching until the syscall commits.
-            fetchQueue.push_back(entry);
-            ++fetched;
             blockedSyscallSeq = ~std::uint64_t(0);  // fixed at dispatch
             break;
         }
-
-        fetchQueue.push_back(entry);
-        ++fetched;
         if (stop)
             break;
     }
@@ -399,9 +385,8 @@ SuperscalarCpu::cycle()
     // belong to the kernel and to the active service invocation;
     // otherwise to the oldest instruction in flight.
     const MicroOp *oldest =
-        !rob.empty() ? &rob.front().op
-                     : (!fetchQueue.empty() ? &fetchQueue.front().op
-                                            : nullptr);
+        windowCount > 0 ? &slot(headSeq()).op
+                        : (fetchCount > 0 ? &fetchSlot(0).op : nullptr);
     std::uint32_t ptag = kernel.privilegedTag();
     if (ptag != 0 && oldest && oldest->mode != ExecMode::User &&
         oldest->mode != ExecMode::Idle) {
@@ -415,35 +400,14 @@ SuperscalarCpu::cycle()
     }
     sink.addCycle();
 
-    if (kernel.interruptPending() && blockedSyscallSeq == 0) {
-        std::vector<MicroOp> replay =
-            rob.empty() ? std::vector<MicroOp>{}
-                        : squashFrom(rob.front().seq);
-        if (rob.empty() && replay.empty() && !fetchQueue.empty()) {
-            for (const FetchedOp &f : fetchQueue)
-                replay.push_back(f.op);
-            fetchQueue.clear();
-        }
-        kernel.takeInterrupt(std::move(replay));
-    }
+    if (kernel.interruptPending() && blockedSyscallSeq == 0)
+        kernel.takeInterrupt(squashCollect());
 
     doCommit();
     doWriteback();
-    bool trapped = doIssue();
-    if (!trapped)
-        trapped = doDispatch();
-    if (!trapped)
+    doIssue();
+    if (!doDispatch())
         doFetch();
-
-    // Fix up the syscall-serialization seq now that dispatch ran.
-    if (blockedSyscallSeq == ~std::uint64_t(0)) {
-        for (const Entry &entry : rob) {
-            if (entry.op.cls == InstClass::Syscall)
-                blockedSyscallSeq = entry.seq;
-        }
-        // Still in the fetch queue: keep the sentinel; dispatch will
-        // run again next cycle.
-    }
 
     if (pipelineEmpty())
         kernel.onPipelineEmpty();

@@ -9,7 +9,8 @@
 #ifndef SOFTWATT_CPU_SUPERSCALAR_CPU_HH
 #define SOFTWATT_CPU_SUPERSCALAR_CPU_HH
 
-#include <deque>
+#include <array>
+#include <vector>
 
 #include "cpu.hh"
 
@@ -56,10 +57,10 @@ class SuperscalarCpu : public Cpu
         Completed,
     };
 
+    /** One window slot; its sequence number is implied by the slot. */
     struct Entry
     {
         MicroOp op;
-        std::uint64_t seq = 0;
         std::uint64_t depA = 0;    ///< Producer seq of srcA (0 none).
         std::uint64_t depB = 0;
         std::uint64_t completeAt = 0;
@@ -67,7 +68,32 @@ class SuperscalarCpu : public Cpu
         bool mispredicted = false;
     };
 
-    std::deque<Entry> rob;        // ckpt:derived: empty once drained
+    /**
+     * The unified ROB/issue window as a ring, allocated once with a
+     * power-of-two capacity >= instWindowSize. In-flight sequence
+     * numbers are contiguous (squashes rewind nextSeq), so the window
+     * holds seqs [nextSeq - windowCount, nextSeq) and seq s lives in
+     * slot s & windowMask.
+     */
+    std::vector<Entry> window;      // ckpt:derived: sized from params
+    std::uint64_t windowMask = 0;   // ckpt:derived: sized from params
+    int windowCount = 0;            // ckpt:derived: 0 once drained
+
+    /**
+     * Earliest completeAt of any issued entry (or later: a squash may
+     * leave it early, never late). Writeback does nothing before it.
+     */
+    std::uint64_t nextCompleteAt = ~std::uint64_t(0); // ckpt:derived
+
+    /**
+     * The last select issued nothing, and since then no instruction
+     * completed, committed, dispatched or was squashed: every waiting
+     * candidate still waits on a producer, so select would issue
+     * nothing again (units and ports only bind once something
+     * issued).
+     */
+    bool issueQuiet = false;  // ckpt:derived: cleared by any change
+
     struct FetchedOp
     {
         MicroOp op;
@@ -75,7 +101,11 @@ class SuperscalarCpu : public Cpu
         bool tlbProbed = false;   ///< TLB already consulted once.
         bool tlbMissed = false;   ///< Probe result (valid if probed).
     };
-    std::deque<FetchedOp> fetchQueue;  // ckpt:derived: empty once drained
+    static constexpr int fetchQueueCap = 16;  // power of two (ring)
+    // ckpt:derived: empty once drained
+    std::array<FetchedOp, fetchQueueCap> fetchRing{};
+    int fetchHead = 0;   // ckpt:derived: meaningless when empty
+    int fetchCount = 0;  // ckpt:derived: 0 once drained
 
     /** Latest in-flight producer of each architectural register. */
     // ckpt:derived: squashAll() zeroes this before every checkpoint
@@ -86,33 +116,64 @@ class SuperscalarCpu : public Cpu
 
     std::uint64_t fetchBusyUntil = 0;       ///< ckpt:derived: drained.
     std::uint64_t fetchBlockedOnBranch = 0; ///< ckpt:derived: drained.
+    /**
+     * Seq of the in-flight syscall, set when it dispatches; ~0 while
+     * it still waits in the fetch queue.
+     */
     std::uint64_t blockedSyscallSeq = 0;    ///< ckpt:derived: drained.
     bool sourceEnded = false;
 
     std::uint64_t mispredStalls = 0;
 
-    static constexpr int fetchQueueCap = 16;
     static constexpr int issueScanLimit = 32;
     static constexpr int fpLatency = 3;
 
-    /** Entry lookup by sequence number; nullptr if committed/absent. */
-    Entry *entryBySeq(std::uint64_t seq);
+    /** Sequence number of the oldest in-flight instruction. */
+    std::uint64_t headSeq() const { return nextSeq - windowCount; }
 
-    /** True when the producer of @p dep has completed (or retired). */
-    bool depSatisfied(std::uint64_t dep);
+    Entry &slot(std::uint64_t seq) { return window[seq & windowMask]; }
+
+    /** The @p i-th fetch-queue entry, 0 = oldest. */
+    FetchedOp &
+    fetchSlot(int i)
+    {
+        return fetchRing[(fetchHead + i) & (fetchQueueCap - 1)];
+    }
+
+    /** Entry lookup by sequence number; nullptr if committed/absent. */
+    Entry *
+    entryBySeq(std::uint64_t seq)
+    {
+        // Unsigned: seqs below the head wrap to huge offsets.
+        return seq - headSeq() < std::uint64_t(windowCount) ? &slot(seq)
+                                                             : nullptr;
+    }
 
     /**
-     * Remove every instruction with seq >= @p from_seq plus the whole
-     * fetch queue, returning their MicroOps in program order.
+     * True when the producer of @p dep has completed (or retired).
+     * dep == 0 (no producer) is below every head seq, which is >= 1.
      */
-    std::vector<MicroOp> squashFrom(std::uint64_t from_seq);
+    bool
+    depSatisfied(std::uint64_t dep)
+    {
+        Entry *producer = entryBySeq(dep);
+        return producer == nullptr ||
+               producer->state == EntryState::Completed;
+    }
 
-    void rebuildProducers();
+    /**
+     * Remove every in-flight instruction (window, then fetch queue),
+     * returning their MicroOps in program order. Sequence numbers
+     * rewind to the old head so they are reused by the replays.
+     */
+    std::vector<MicroOp> squashCollect();
+
+    /** Empty the window and fetch queue without replay. */
+    void dropInFlight();
 
     void doCommit();
     void doWriteback();
-    /** @return True if a trap was raised (cycle must end). */
-    bool doIssue();
+    void doIssue();
     /** @return True if a dispatch-time TLB miss trapped. */
     bool doDispatch();
     void doFetch();

@@ -23,9 +23,16 @@ Tlb::lookup(std::uint32_t asid, Addr vaddr)
     ++numRefs;
     ++useCounter;
     Addr page = vpn(vaddr);
-    for (Entry &e : entries) {
+    Entry &last = entries[mruSlot];
+    if (last.valid && last.asid == asid && last.vpn == page) {
+        last.lastUse = useCounter;
+        return true;
+    }
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        Entry &e = entries[i];
         if (e.valid && e.asid == asid && e.vpn == page) {
             e.lastUse = useCounter;
+            mruSlot = i;
             return true;
         }
     }

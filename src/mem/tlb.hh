@@ -66,6 +66,12 @@ class Tlb : public Checkpointable
     };
 
     std::vector<Entry> entries;
+    /**
+     * Slot of the last lookup hit, tried before the scan. Only a hint:
+     * lookup checks valid/asid/vpn, and (asid, vpn) is unique among
+     * valid entries, so hit/miss and LRU order are unaffected.
+     */
+    std::size_t mruSlot = 0;  // ckpt:derived: hint, verified on use
     int pageSize;   // ckpt:derived: fixed at construction
     int pageShift;  // ckpt:derived: computed from pageSize
     std::uint64_t useCounter = 0;

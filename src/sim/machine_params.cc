@@ -1,22 +1,38 @@
 #include "machine_params.hh"
 
 #include "config.hh"
+#include "logging.hh"
 
 namespace softwatt
 {
+
+namespace
+{
+
+/** A core width or count that is < 1 stalls the pipeline forever. */
+int
+positiveInt(const Config &config, const char *key, int fallback)
+{
+    std::int64_t value = config.getInt(key, fallback);
+    if (value < 1)
+        fatal(msg() << key << " must be at least 1 (got " << value << ")");
+    return int(value);
+}
+
+} // namespace
 
 void
 MachineParams::applyConfig(const Config &config)
 {
     instWindowSize =
-        int(config.getInt("cpu.inst_window", instWindowSize));
+        positiveInt(config, "cpu.inst_window", instWindowSize);
     lsqSize = int(config.getInt("cpu.lsq_size", lsqSize));
-    fetchWidth = int(config.getInt("cpu.fetch_width", fetchWidth));
-    decodeWidth = int(config.getInt("cpu.decode_width", decodeWidth));
-    issueWidth = int(config.getInt("cpu.issue_width", issueWidth));
-    commitWidth = int(config.getInt("cpu.commit_width", commitWidth));
-    intAlus = int(config.getInt("cpu.int_alus", intAlus));
-    fpAlus = int(config.getInt("cpu.fp_alus", fpAlus));
+    fetchWidth = positiveInt(config, "cpu.fetch_width", fetchWidth);
+    decodeWidth = positiveInt(config, "cpu.decode_width", decodeWidth);
+    issueWidth = positiveInt(config, "cpu.issue_width", issueWidth);
+    commitWidth = positiveInt(config, "cpu.commit_width", commitWidth);
+    intAlus = positiveInt(config, "cpu.int_alus", intAlus);
+    fpAlus = positiveInt(config, "cpu.fp_alus", fpAlus);
     bhtEntries = int(config.getInt("cpu.bht_entries", bhtEntries));
     btbEntries = int(config.getInt("cpu.btb_entries", btbEntries));
     rasEntries = int(config.getInt("cpu.ras_entries", rasEntries));

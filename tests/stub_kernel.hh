@@ -59,6 +59,7 @@ class StubKernel : public KernelIface
         ++tlbMisses;
         lastMissAddr = vaddr;
         lastReplaySize = replay.size();
+        lastReplay = replay;
         if (tlb)
             tlb->insert(asid, vaddr);
         for (auto it = replay.rbegin(); it != replay.rend(); ++it)
@@ -85,6 +86,7 @@ class StubKernel : public KernelIface
         intPending = false;
         ++interruptsTaken;
         lastReplaySize = replay.size();
+        lastReplay = replay;
         for (auto it = replay.rbegin(); it != replay.rend(); ++it)
             replayQueue.push_front(*it);
     }
@@ -107,6 +109,7 @@ class StubKernel : public KernelIface
     int tlbMisses = 0;
     Addr lastMissAddr = 0;
     std::size_t lastReplaySize = 0;
+    std::vector<MicroOp> lastReplay;  ///< Ops of the last trap's replay.
     std::uint64_t replayServed = 0;
     bool intPending = false;
     bool endWhenEmpty = false;

@@ -7,6 +7,7 @@
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "sim/machine_params.hh"
 
 using namespace softwatt;
 
@@ -148,3 +149,50 @@ TEST(ConfigDeath, MalformedBoolIsFatal)
     c.set("b", std::string("maybe"));
     EXPECT_DEATH((void)c.getBool("b", false), "not a boolean");
 }
+
+// Every core width/count below 1 would stall the pipeline forever (a
+// zero-entry window never dispatches, zero ALUs never issue), so
+// applyConfig rejects it up front.
+class CoreParamRangeTest : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    void SetUp() override { setErrorHandler(throwingErrorHandler); }
+    void TearDown() override { setErrorHandler(nullptr); }
+};
+
+TEST_P(CoreParamRangeTest, BelowOneIsFatal)
+{
+    const std::string key = GetParam();
+    for (std::int64_t bad : {std::int64_t(0), std::int64_t(-1)}) {
+        Config c;
+        c.set(key, bad);
+        MachineParams params;
+        try {
+            params.applyConfig(c);
+            FAIL() << key << "=" << bad << ": expected SimError";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Fatal);
+            EXPECT_NE(std::string(e.what()).find(key + " must be at least 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    Config ok;
+    ok.set(key, std::int64_t(1));
+    MachineParams params;
+    EXPECT_NO_THROW(params.applyConfig(ok));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CoreKeys, CoreParamRangeTest,
+    ::testing::Values("cpu.inst_window", "cpu.fetch_width",
+                      "cpu.decode_width", "cpu.issue_width",
+                      "cpu.commit_width", "cpu.int_alus", "cpu.fp_alus"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        std::string name = info.param;
+        for (char &c : name) {
+            if (c == '.')
+                c = '_';
+        }
+        return name;
+    });

@@ -19,6 +19,8 @@ namespace
 
 struct Fixture
 {
+    explicit Fixture(MachineParams params = {}) : machine(params) {}
+
     MachineParams machine;
     CounterSink sink;
     CacheHierarchy hierarchy{machine, sink};
@@ -271,4 +273,116 @@ TEST(SuperscalarCpu, EndsOnlyWhenDrained)
     EXPECT_FALSE(alive);
     EXPECT_EQ(f.kernel.committed.size(), 1u);
     EXPECT_GE(cycles, f.machine.memoryLatency);
+}
+
+namespace
+{
+
+/** Scripted ALU ops with strictly increasing pcs from @p pc. */
+void
+pushAlus(StubKernel &kernel, Addr &pc, int count)
+{
+    for (int i = 0; i < count; ++i, pc += 4)
+        kernel.push(aluOp(pc));
+}
+
+bool
+pcsIncrease(const std::vector<Addr> &pcs)
+{
+    for (std::size_t i = 1; i < pcs.size(); ++i) {
+        if (pcs[i] <= pcs[i - 1])
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(SuperscalarCpu, SmallWindowNeverHoldsMoreThanItsSize)
+{
+    // A 5-entry window rounds the ring up to 8 slots; occupancy must
+    // still stop at 5.
+    MachineParams params;
+    params.instWindowSize = 5;
+    Fixture f(params);
+    StreamSpec s = parallelSpec();
+    s.fracNop = 0.1;
+    s.fracLoad = 0.3;
+    s.depProb = 0.3;
+    s.dataFootprint = 8 * 1024 * 1024;
+    s.coldAccessProb = 0.2;  // L2 misses keep the window full
+    StreamGen gen(s, 5);
+    f.kernel.fallback = &gen;
+    const CounterBank &bank = f.sink.global();
+    std::uint64_t peak = 0;
+    for (int i = 0; i < 5000; ++i) {
+        f.cpu.cycle();
+        std::uint64_t in_window =
+            bank.get(ExecMode::User, CounterId::RenameOp) -
+            bank.get(ExecMode::User, CounterId::CommittedInsts);
+        ASSERT_LE(in_window, 5u) << "cycle " << i;
+        peak = std::max(peak, in_window);
+    }
+    EXPECT_EQ(peak, 5u);  // the window did fill
+    EXPECT_EQ(f.kernel.interruptsTaken, 0);
+    EXPECT_GT(f.cpu.committedInsts(), 500u);
+}
+
+TEST(SuperscalarCpu, InterruptAfterManyRingWrapsReplaysInOrder)
+{
+    Fixture f;
+    Addr pc = 0x1000;
+    // Push the sequence numbers round the 64-slot ring many times.
+    pushAlus(f.kernel, pc, 3000);
+    f.run(20000);
+    ASSERT_EQ(f.kernel.committed.size(), 3000u);
+
+    // A slow load at the head keeps younger work in the window.
+    f.kernel.push(loadOp(pc, 0x90000));
+    pc += 4;
+    pushAlus(f.kernel, pc, 40);
+    f.run(12);
+    f.kernel.intPending = true;
+    f.run(1);
+    ASSERT_EQ(f.kernel.interruptsTaken, 1);
+    std::vector<Addr> replayed;
+    for (const MicroOp &op : f.kernel.lastReplay)
+        replayed.push_back(op.pc);
+    ASSERT_GE(replayed.size(), 2u);
+    EXPECT_EQ(replayed.front(), 0x1000u + 4 * 3000);  // the load
+    EXPECT_TRUE(pcsIncrease(replayed));
+
+    f.run(1000);
+    EXPECT_EQ(f.kernel.committed.size(), 3041u);
+    EXPECT_TRUE(pcsIncrease(f.kernel.committed));  // each exactly once
+}
+
+TEST(SuperscalarCpu, TlbMissHoldKeepsFetchQueueOrder)
+{
+    Fixture f;
+    Addr pc = 0x100;
+    pushAlus(f.kernel, pc, 16);  // warm the code lines
+    f.run(400);
+    f.kernel.committed.clear();
+
+    // Older slow work holds the TLB-missing load at dispatch while
+    // fetch keeps filling the queue behind it.
+    pc = 0x100;
+    f.kernel.push(loadOp(pc, 0x90000));
+    pc += 4;
+    const Addr miss_pc = pc;
+    f.kernel.push(loadOp(miss_pc, 0x40006000, false));
+    pc += 4;
+    pushAlus(f.kernel, pc, 14);
+    f.run(500);
+
+    ASSERT_EQ(f.kernel.tlbMisses, 1);
+    std::vector<Addr> replayed;
+    for (const MicroOp &op : f.kernel.lastReplay)
+        replayed.push_back(op.pc);
+    ASSERT_GE(replayed.size(), 2u);  // younger ops were queued behind
+    EXPECT_EQ(replayed.front(), miss_pc);
+    EXPECT_TRUE(pcsIncrease(replayed));
+    ASSERT_EQ(f.kernel.committed.size(), 16u);
+    EXPECT_TRUE(pcsIncrease(f.kernel.committed));
 }

@@ -3,6 +3,9 @@
  * Unit tests for the software-managed TLB and the page table.
  */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/page_table.hh"
@@ -84,6 +87,70 @@ TEST(Tlb, CapacityIsRespected)
     for (int p = 0; p <= 64; ++p)
         hits += tlb.lookup(1, Addr(p) * 4096);
     EXPECT_EQ(hits, 64);  // exactly one got evicted
+}
+
+namespace
+{
+
+std::vector<std::uint8_t>
+stateOf(const Tlb &tlb)
+{
+    ChunkWriter out;
+    tlb.saveState(out);
+    return out.bytes();
+}
+
+/** Same entries, LRU clock and statistics, but a cold MRU hint. */
+std::unique_ptr<Tlb>
+coldCopy(const Tlb &tlb)
+{
+    auto copy = std::make_unique<Tlb>(tlb.size(), tlb.pageBytes());
+    std::vector<std::uint8_t> state = stateOf(tlb);
+    ChunkReader in(state, "tlb");  // keeps a reference to state
+    copy->loadState(in);
+    return copy;
+}
+
+} // namespace
+
+TEST(Tlb, MruHintKeepsExactLruVictim)
+{
+    // Hot: repeated hits on page 1 are served by the MRU hint.
+    // Cold: every hit runs on a restored copy, whose hint is cold.
+    Tlb hot(4);
+    auto cold = std::make_unique<Tlb>(4);
+    for (Addr page = 1; page <= 4; ++page) {
+        hot.insert(1, page * 4096);
+        cold->insert(1, page * 4096);
+    }
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE(hot.lookup(1, 1 * 4096));
+        cold = coldCopy(*cold);
+        EXPECT_TRUE(cold->lookup(1, 1 * 4096));
+    }
+    EXPECT_EQ(stateOf(hot), stateOf(*cold));
+
+    // Page 2 is now least recently used, not the hinted page 1.
+    hot.insert(1, 5 * 4096);
+    cold->insert(1, 5 * 4096);
+    for (Addr page = 1; page <= 5; ++page) {
+        bool hit = hot.lookup(1, page * 4096);
+        EXPECT_EQ(hit, cold->lookup(1, page * 4096)) << page;
+        EXPECT_EQ(hit, page != 2) << page;
+    }
+    EXPECT_EQ(stateOf(hot), stateOf(*cold));
+}
+
+TEST(Tlb, MruHintIsCheckedAfterInvalidation)
+{
+    Tlb tlb(4);
+    tlb.insert(1, 0x1000);
+    EXPECT_TRUE(tlb.lookup(1, 0x1000));  // hint on this slot
+    tlb.invalidateAsid(1);
+    EXPECT_FALSE(tlb.lookup(1, 0x1000));
+    tlb.insert(2, 0x1000);               // same vpn, other space
+    EXPECT_FALSE(tlb.lookup(1, 0x1000));
+    EXPECT_TRUE(tlb.lookup(2, 0x1000));
 }
 
 TEST(TlbDeath, BadParamsFatal)
