@@ -8,6 +8,18 @@
 namespace softwatt
 {
 
+namespace
+{
+
+WorkloadSpec
+scaledSpec(Benchmark bench, double scale)
+{
+    WorkloadSpec spec = benchmarkSpec(bench);
+    return scale != 1.0 ? scaleWorkload(spec, scale) : spec;
+}
+
+} // namespace
+
 BenchmarkRun
 runBenchmark(Benchmark bench, const SystemConfig &config, double scale)
 {
@@ -28,10 +40,8 @@ runBenchmark(Benchmark bench, const SystemConfig &config, double scale,
     if (options.forceInvariants)
         run.system->invariants().setEnabled(true);
 
-    WorkloadSpec spec = benchmarkSpec(bench);
-    if (scale != 1.0)
-        spec = scaleWorkload(spec, scale);
-    run.system->attachWorkload(std::make_unique<Workload>(spec));
+    run.system->attachWorkload(
+        std::make_unique<Workload>(scaledSpec(bench, scale)));
     if (options.checkpointEverySeconds > 0) {
         run.system->setCheckpointPolicy(options.checkpointEverySeconds,
                                         options.checkpointPath,
@@ -59,12 +69,7 @@ std::uint64_t
 machineCheckpointFingerprint(Benchmark bench,
                              const SystemConfig &config, double scale)
 {
-    System system(config);
-    WorkloadSpec spec = benchmarkSpec(bench);
-    if (scale != 1.0)
-        spec = scaleWorkload(spec, scale);
-    system.attachWorkload(std::make_unique<Workload>(spec));
-    return system.checkpointFingerprint();
+    return machineFingerprint(config, scaledSpec(bench, scale));
 }
 
 PowerBreakdown

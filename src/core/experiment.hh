@@ -139,13 +139,10 @@ BenchmarkRun runBenchmark(Benchmark bench, const SystemConfig &config,
                           double scale, const RunOptions &options);
 
 /**
- * The machine+workload checkpoint fingerprint a run of (bench,
- * config, scale) would carry, computed without simulating: builds
- * the System and attaches the workload exactly like runBenchmark,
- * then reads System::checkpointFingerprint(). Two specs that agree
- * on this value can exchange machine checkpoints (the fingerprint
- * excludes run management like deadlines, which restore ignores) —
- * this is the key the serve daemon's warm checkpoint pool indexes.
+ * machineFingerprint() of the workload runBenchmark would attach for
+ * (bench, scale): the fingerprint a checkpoint of that run carries.
+ * Two specs that agree on it can exchange machine checkpoints; it is
+ * the key of the serve daemon's warm checkpoint pool.
  */
 std::uint64_t machineCheckpointFingerprint(Benchmark bench,
                                            const SystemConfig &config,

@@ -12,11 +12,10 @@
  * The `run` field holds the exact pretty-printed JSON object that
  * writeJson() would emit for that run, so a resumed experiment can
  * splice journaled runs into the final document byte-identical to an
- * uninterrupted one. The `config` field is a 64-bit FNV-1a
- * fingerprint of the complete run specification (benchmark, variant,
- * scale and every SystemConfig field); resume only replays an entry
- * whose (bench, variant, config) key still matches, so editing the
- * sweep invalidates exactly the runs it changes.
+ * uninterrupted one. The `config` field is specFingerprint() of the
+ * run; resume only replays an entry whose (bench, variant, config)
+ * key still matches, so editing the sweep invalidates exactly the
+ * runs it changes.
  *
  * Each line is flushed as it is written: a SIGKILLed sweep loses at
  * most the in-flight runs, and the reader skips a torn final line.
@@ -50,8 +49,9 @@ struct JournalEntry
 
 /**
  * Deterministic 64-bit fingerprint (16 hex digits) of everything
- * that determines a run's results: benchmark, variant, scale, and
- * the full SystemConfig.
+ * that determines a run's results: benchmark, variant and scale, the
+ * CPU model, the deadline and grace budgets, the autosave cadence,
+ * and machineCheckpointFingerprint() for the machine and workload.
  */
 std::string specFingerprint(const RunSpec &spec);
 

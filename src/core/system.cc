@@ -571,10 +571,8 @@ System::setCheckpointPolicy(double every_seconds,
 }
 
 std::uint64_t
-System::checkpointFingerprint() const
+machineFingerprint(const SystemConfig &cfg, const WorkloadSpec &wl)
 {
-    SW_CHECK(workload != nullptr,
-             "checkpoint fingerprint needs an attached workload");
     ChunkWriter w;
     auto i32 = [&w](int v) { w.u64(std::uint64_t(std::int64_t(v))); };
 
@@ -621,7 +619,9 @@ System::checkpointFingerprint() const
     w.f64(k.tlbSlowPathProb);
     w.f64(k.vfaultProb);
     w.f64(k.clockTickSeconds);
-    w.f64(k.timeScale);
+    // The System constructor overwrites the kernel's copy with
+    // cfg.timeScale, so that is the value a built machine runs with.
+    w.f64(cfg.timeScale);
     w.u64(k.fileCacheBlocks);
     w.b(k.haltOnIdle);
     w.u64(k.seed);
@@ -651,7 +651,6 @@ System::checkpointFingerprint() const
     w.b(cfg.dvfsEnabled);
     w.b(cfg.adaptiveSpindown);
 
-    const WorkloadSpec &wl = workload->spec();
     w.str(wl.name);
     w.u64(wl.mainInsts);
     wl.mainSpec.saveState(w);
@@ -680,6 +679,14 @@ System::checkpointFingerprint() const
     w.u64(wl.dataFileBytes);
 
     return fnv1a64(w.bytes().data(), w.bytes().size());
+}
+
+std::uint64_t
+System::checkpointFingerprint() const
+{
+    SW_CHECK(workload != nullptr,
+             "checkpoint fingerprint needs an attached workload");
+    return machineFingerprint(cfg, workload->spec());
 }
 
 CheckpointImage

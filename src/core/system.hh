@@ -127,6 +127,19 @@ struct SystemConfig
     void validate() const;
 };
 
+/**
+ * Identity of a machine running a workload: FNV-1a-64 over every
+ * SystemConfig field that shapes simulated state (machine, disk,
+ * kernel, sampling, power policies) plus the workload spec. This is
+ * the one field list behind both the checkpoint header and the
+ * journal's run key (specFingerprint). It excludes the CPU model
+ * (stored beside it in a checkpoint, so an image restores into the
+ * other model) and the deadline/grace budgets (run management).
+ * Computed from the configuration alone; nothing is built.
+ */
+std::uint64_t machineFingerprint(const SystemConfig &config,
+                                 const WorkloadSpec &workload);
+
 /** How a simulation ended. */
 enum class RunOutcome
 {
@@ -268,13 +281,7 @@ class System : public PowerMeter
                machineDisk->checkpointSafe();
     }
 
-    /**
-     * Fingerprint of the checkpoint-relevant configuration: machine,
-     * disk, kernel and sampling parameters plus the workload spec.
-     * Excludes the CPU model (stored separately, to allow warm-start
-     * model switching) and the deadline/grace budgets (host-side
-     * run-management, not machine state).
-     */
+    /** machineFingerprint() of this system and its workload. */
     std::uint64_t checkpointFingerprint() const;
 
     /** Autosave checkpoints written during run(). */

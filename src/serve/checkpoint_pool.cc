@@ -49,11 +49,7 @@ CheckpointPool::CheckpointPool(std::string directory,
 std::string
 CheckpointPool::keyName(std::uint64_t key)
 {
-    static const char digits[] = "0123456789abcdef";
-    std::string text(16, '0');
-    for (int i = 0; i < 16; ++i)
-        text[std::size_t(i)] = digits[(key >> (60 - 4 * i)) & 0xf];
-    return text + ".ckpt";
+    return fingerprintHex(key) + ".ckpt";
 }
 
 std::string
@@ -216,7 +212,7 @@ CheckpointPool::inflightPath(std::uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mutex);
     std::uint64_t seq = inflightSeq++;
-    return dir + "/" + keyName(key).substr(0, 16) + ".inflight." +
+    return dir + "/" + fingerprintHex(key) + ".inflight." +
            std::to_string(seq) + ".ckpt";
 }
 

@@ -76,30 +76,17 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
     // Arm the warm-start plumbing: autosave to a private in-flight
     // path (concurrent same-config jobs must never race on one
     // file), and restore from the pool's warm image when one exists.
-    bool armed = false;
+    const bool armed = options.pool && options.warmEveryS > 0.0;
     std::uint64_t key = 0;
     std::string inflight;
-    if (options.pool && options.warmEveryS > 0.0) {
-        try {
-            key = machineCheckpointFingerprint(spec.bench,
-                                               spec.config,
-                                               spec.scale);
-            inflight = options.pool->inflightPath(key);
-            spec.checkpointEveryS = options.warmEveryS;
-            spec.checkpointPath = inflight;
-            spec.restorePath = options.pool->lookup(key);
-            spec.durability = options.durability;
-            armed = true;
-        } catch (const std::exception &e) {
-            // Fingerprinting constructs the machine; a config the
-            // machine rejects will fail identically in the run
-            // proper, which reports it properly. Run cold here.
-            warn(msg() << "serve executor: warm-start disabled for "
-                       << "this job (" << e.what() << ")");
-            spec.checkpointEveryS = 0.0;
-            spec.checkpointPath.clear();
-            spec.restorePath.clear();
-        }
+    if (armed) {
+        key = machineCheckpointFingerprint(spec.bench, spec.config,
+                                           spec.scale);
+        inflight = options.pool->inflightPath(key);
+        spec.checkpointEveryS = options.warmEveryS;
+        spec.checkpointPath = inflight;
+        spec.restorePath = options.pool->lookup(key);
+        spec.durability = options.durability;
     }
 
     // The simulator is deterministic, so a plain rerun fails the

@@ -86,6 +86,16 @@ fnv1a64(const std::uint8_t *data, std::size_t size)
     return state;
 }
 
+std::string
+fingerprintHex(std::uint64_t value)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string text(16, '0');
+    for (int i = 0; i < 16; ++i)
+        text[std::size_t(i)] = digits[(value >> (60 - 4 * i)) & 0xf];
+    return text;
+}
+
 void
 ChunkWriter::f64(double value)
 {

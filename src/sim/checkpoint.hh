@@ -68,6 +68,9 @@ constexpr std::uint16_t checkpointFormatVersion = 1;
 /** FNV-1a-64 of a byte range (the per-chunk payload checksum). */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size);
 
+/** @p value as 16 lowercase hex digits, most significant first. */
+std::string fingerprintHex(std::uint64_t value);
+
 /**
  * Little-endian byte-stream builder for one chunk payload.
  *

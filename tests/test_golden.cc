@@ -63,6 +63,14 @@ goldenCases()
         cases.push_back({bench, "cpu.inst_window=48"});
         cases.push_back({bench, "cpu.inst_window=8"});
     }
+    // Unit limits that bind after a single issue, and an 8-entry TLB
+    // under constant refills. Only the one-wide select makes a
+    // select that wrongly goes quiet after one issue visible: with
+    // wider issue, something completes, commits or dispatches in
+    // the next cycle and wakes it anyway.
+    cases.push_back({Benchmark::Jess, "cpu.int_alus=1"});
+    cases.push_back({Benchmark::Jess, "tlb.entries=8"});
+    cases.push_back({Benchmark::Jess, "cpu.issue_width=1"});
     return cases;
 }
 

@@ -89,7 +89,7 @@ TEST(LintRules, FlagsWallClockOnlyInSimSources)
     EXPECT_TRUE(hasRule(lint("src/os/kernel.cc", source),
                         "wall-clock"));
     // Harness timing code outside src/ may read the clock.
-    EXPECT_TRUE(lint("bench/bench_simspeed.cpp", source).empty());
+    EXPECT_TRUE(lint("bench/bench_crashsim.cpp", source).empty());
 }
 
 TEST(LintRules, WallClockIdentifierNeedsCallSite)

@@ -24,6 +24,8 @@
 #include "core/journal.hh"
 #include "core/runner.hh"
 #include "sim/cancel.hh"
+#include "sim/checkpoint.hh"
+#include "sim/config.hh"
 #include "sim/signals.hh"
 #include "sim/logging.hh"
 
@@ -75,6 +77,29 @@ threeRunSpec(const std::string &title, int jobs)
     spec.add(Benchmark::Compress, config, 0.05);
     spec.add(Benchmark::Db, config, 0.05);
     return spec;
+}
+
+/** jess at scale 0.05 under the given key=value assignments. */
+RunSpec
+jessSpec(const std::string &assignments)
+{
+    Config config;
+    std::istringstream words(assignments);
+    std::string word;
+    while (words >> word)
+        EXPECT_TRUE(config.parseAssignment(word)) << word;
+    RunSpec spec;
+    spec.bench = Benchmark::Jess;
+    spec.scale = 0.05;
+    spec.config = SystemConfig::fromConfig(config);
+    return spec;
+}
+
+std::uint64_t
+machineOf(const RunSpec &spec)
+{
+    return machineCheckpointFingerprint(spec.bench, spec.config,
+                                        spec.scale);
 }
 
 class QuietLog
@@ -306,6 +331,109 @@ TEST(RunnerResilience, SpecFingerprintTracksConfigChanges)
     b = a;
     b.variant = "x";
     EXPECT_NE(specFingerprint(a), specFingerprint(b));
+
+    // Run management: part of the run's identity, not the machine's.
+    b = a;
+    b.config.deadlineSeconds = 5;
+    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    EXPECT_EQ(machineOf(a), machineOf(b));
+    b = a;
+    b.config.shutdownGraceSeconds = 1;
+    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    EXPECT_EQ(machineOf(a), machineOf(b));
+    b = a;
+    b.checkpointEveryS = 0.0002;
+    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    EXPECT_EQ(machineOf(a), machineOf(b));
+
+    // A field no config key reaches.
+    b = a;
+    b.config.kernelParams.tuning.powerReadLength += 1;
+    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    EXPECT_NE(machineOf(a), machineOf(b));
+
+    // One case per key SystemConfig::fromConfig and
+    // MachineParams::applyConfig read, each at a valid non-default
+    // value. Keys that only apply under another setting change
+    // against a base that has that setting.
+    struct KeyCase
+    {
+        const char *base;
+        const char *changed;
+    };
+    const KeyCase cases[] = {
+        {"", "cpu.model=mipsy"},
+        {"", "cpu.inst_window=48"},
+        {"", "cpu.lsq_size=16"},
+        {"", "cpu.fetch_width=2"},
+        {"", "cpu.decode_width=2"},
+        {"", "cpu.issue_width=2"},
+        {"", "cpu.commit_width=2"},
+        {"", "cpu.int_alus=1"},
+        {"", "cpu.fp_alus=1"},
+        {"", "cpu.bht_entries=512"},
+        {"", "cpu.btb_entries=512"},
+        {"", "cpu.ras_entries=16"},
+        {"", "icache.size_kb=64"},
+        {"", "icache.line=32"},
+        {"", "icache.ways=4"},
+        {"", "dcache.size_kb=64"},
+        {"", "dcache.line=32"},
+        {"", "dcache.ways=4"},
+        {"", "l2.size_kb=512"},
+        {"", "l2.line=64"},
+        {"", "l2.ways=4"},
+        {"", "l2.latency=12"},
+        {"", "tlb.entries=8"},
+        {"", "mem.latency=80"},
+        {"", "mem.size_mb=64"},
+        {"", "tech.feature_um=0.25"},
+        {"", "tech.vdd=2.5"},
+        {"", "tech.mhz=300"},
+        {"", "disk.config=conventional"},
+        {"", "disk.config=spindown"},
+        {"disk.config=spindown", "disk.config=spindown disk.threshold_s=3"},
+        {"", "disk.fault.enabled=true"},
+        {"", "disk.fault.transient_rate=0.1"},
+        {"", "disk.fault.seek_rate=0.1"},
+        {"", "disk.fault.spinup_rate=0.1"},
+        {"", "disk.fault.window_start_s=0.5"},
+        {"", "disk.fault.window_end_s=10"},
+        {"", "disk.fault.seed=5"},
+        {"", "disk.retry.max_attempts=3"},
+        {"", "disk.retry.backoff_s=0.05"},
+        {"", "disk.retry.multiplier=3"},
+        {"", "time_scale=50"},
+        {"", "sample_window=50000"},
+        {"", "max_cycles=1000000000"},
+        {"", "power.calibrated=false"},
+        {"", "clock_interrupts=false"},
+        {"", "seed=7"},
+        {"", "halt_on_idle=true"},
+        {"", "power_budget_w=3"},
+        {"", "dvfs=1 power_budget_w=3"},
+        {"power_budget_w=3", "dvfs=1 power_budget_w=3"},
+        {"", "adaptive_spindown=1 disk.config=spindown"},
+        {"disk.config=spindown", "adaptive_spindown=1 disk.config=spindown"},
+    };
+    for (const KeyCase &c : cases) {
+        RunSpec base = jessSpec(c.base);
+        RunSpec changed = jessSpec(c.changed);
+        EXPECT_NE(specFingerprint(base), specFingerprint(changed))
+            << c.changed;
+        if (std::string(c.changed) == "cpu.model=mipsy") {
+            // Outside the machine fingerprint: a checkpoint restores
+            // into the other CPU model (warm start).
+            EXPECT_EQ(machineOf(base), machineOf(changed));
+        } else {
+            EXPECT_NE(machineOf(base), machineOf(changed)) << c.changed;
+        }
+    }
+
+    // Checkpoints and warm-pool images written by earlier builds
+    // carry this value; a change here orphans all of them.
+    EXPECT_EQ(machineOf(a), 0xcbc0f899379a3b38ull);
+    EXPECT_EQ(machineOf(jessSpec("")), 0xcbc0f899379a3b38ull);
 }
 
 TEST(RunnerResilience, JournalWrittenAndResumeSplicesBitIdentical)
@@ -383,6 +511,29 @@ TEST(RunnerResilience, ResumeIgnoresEntriesWithChangedConfig)
     EXPECT_FALSE(result.at(0).restored());
     EXPECT_TRUE(result.at(0).hasData());
 
+    // The original rows under the DVFS governor: again no entry is
+    // theirs, and the document reports the governor.
+    ExperimentSpec governed = spec;
+    governed.resume = true;
+    for (RunSpec &rs : governed.runs) {
+        rs.config.dvfsEnabled = true;
+        rs.config.powerBudgetW = 3;
+    }
+    result = runExperiment(governed);
+    EXPECT_FALSE(result.at(0).restored());
+    EXPECT_TRUE(result.at(0).hasData());
+    EXPECT_NE(slurp(out).find("\"dvfs\""), std::string::npos);
+
+    // The original rows at an autosave cadence, which squashes the
+    // pipeline at its ticks and so changes the results.
+    ExperimentSpec cadence = spec;
+    cadence.resume = true;
+    cadence.checkpointEveryS = 0.0002;
+    result = runExperiment(cadence);
+    EXPECT_FALSE(result.at(0).restored());
+    EXPECT_TRUE(result.at(0).hasData());
+
+    removeCheckpoint(out + ".jess.ckpt");
     removeOutputs(out);
 }
 

@@ -900,6 +900,44 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
     }
 }
 
+TEST_F(ServeDirTest, ServerExecutesASpecThatDiffersOnlyInPowerPolicy)
+{
+    ServeOptions options;
+    options.socketPath = dir + "/serve.sock";
+    options.statePath = dir + "/state";
+    options.jobs = 1;
+
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+
+    ServeClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
+    ServeRequest request;
+    request.id = "plain";
+    request.client = "e2e";
+    request.spec = "bench=jess scale=0.03";
+    ServeResponse plain;
+    ASSERT_TRUE(client.call(request, plain, error)) << error;
+    EXPECT_EQ(plain.status, "ok") << plain.error;
+    EXPECT_EQ(plain.servedFrom, "executed");
+
+    // The journal holds the plain answer; a governed run is a
+    // different result and must not be answered from it.
+    request.id = "governed";
+    request.spec = "bench=jess scale=0.03 dvfs=1 power_budget_w=3";
+    ServeResponse governed;
+    ASSERT_TRUE(client.call(request, governed, error)) << error;
+    EXPECT_EQ(governed.status, "ok") << governed.error;
+    EXPECT_EQ(governed.servedFrom, "executed");
+    EXPECT_NE(governed.document, plain.document);
+    EXPECT_NE(governed.document.find("\"dvfs\""), std::string::npos);
+    EXPECT_EQ(server.executedJobs(), 2u);
+    EXPECT_EQ(server.journalHits(), 0u);
+    running.drain();
+}
+
 TEST_F(ServeDirTest, ServerShedsWhenTheQueueIsFull)
 {
     ServeOptions options;
