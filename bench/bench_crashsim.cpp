@@ -8,14 +8,19 @@
  *     with fdatasync barriers, periodic checkpoint autosaves
  *     (temp-then-rename with fsync'd directories), and the final
  *     atomic document write.
- *  2. A serve checkpoint-pool session — in-flight image writes and
- *     promote/rotate rename chains for several keys.
+ *  2. A softwatt-serve daemon under durability=full answering two
+ *     specs at its autosave cadence. Per job, serve's write sequence
+ *     is: autosaves to the run's key file
+ *     (<state>/ckpt/<run fingerprint>.ckpt), the answer's journal
+ *     append, then the key file's removal.
  *
  * It then replays EVERY op-log prefix of both sessions under every
  * CrashVariant (synced-only, everything-persisted, torn-tail) into a
  * scratch directory and runs the real recovery code over the wreck:
- * RunJournal::load, checkpoint restore with generation fallback, and
- * CheckpointPool::recover. Checked invariants:
+ * the journal reader each owner uses (RunJournal::load for the
+ * runner, RunJournal::loadLatest for the daemon) and checkpoint
+ * restore with generation fallback (readNewestCheckpoint). Checked
+ * invariants:
  *
  *  - Recovery never crashes, whatever the prefix left behind.
  *  - Recovery never serves corrupt data: every journal entry that
@@ -47,6 +52,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -54,7 +60,8 @@
 #include "core/journal.hh"
 #include "core/json_writer.hh"
 #include "core/runner.hh"
-#include "serve/checkpoint_pool.hh"
+#include "serve/client.hh"
+#include "serve/server.hh"
 #include "sim/checkpoint.hh"
 #include "sim/host_io.hh"
 #include "sim/logging.hh"
@@ -102,6 +109,9 @@ struct Session
     std::string name;
     std::vector<IoRecord> log;
     std::string journalPath;              ///< "" when none.
+    /** The journal reader recovery uses for this session. */
+    std::vector<JournalEntry> (*loadJournal)(const std::string &) =
+        &RunJournal::load;
     std::vector<JournalEntry> refEntries; ///< Journal ground truth.
     std::string documentPath;             ///< "" when none.
     std::string documentBytes;
@@ -109,10 +119,9 @@ struct Session
      *  checkpoint write ("<dest>.tmp" Write ops). A recovered
      *  checkpoint file must byte-match one of these. */
     std::set<std::string> imagePayloads;
-    /** Atomic-rename destinations ending in ".ckpt" (autosave and
-     *  pool slots): the files recovery probes. */
+    /** Atomic-rename destinations ending in ".ckpt" (runner and
+     *  serve autosaves): the files recovery probes. */
     std::set<std::string> checkpointPaths;
-    std::vector<std::uint64_t> poolKeys;  ///< Pool sessions only.
 };
 
 /** Sync barriers on @p path inside the first @p prefix ops. */
@@ -177,38 +186,57 @@ recordSweep(const std::string &root, double scale, double cadenceS)
 }
 
 /**
- * Record session 2: a serve checkpoint-pool session — two keys, two
- * promoted generations each, full-durability rename chains.
+ * Record session 2: an in-process softwatt-serve daemon (one worker,
+ * durability=full, autosaving at @p cadenceS) answering two specs
+ * over its socket, one after the other.
  */
 Session
-recordPool(const std::string &root)
+recordServe(const std::string &root, double scale, double cadenceS)
 {
     Session session;
-    session.name = "serve-pool";
-    session.poolKeys = {0x00c0ffee00c0ffeeull, 0x0badcafe0badcafeull};
+    session.name = "serve";
+    session.loadJournal = &RunJournal::loadLatest;
 
-    std::string dir = root + "/pool";
-    fs::create_directories(dir);
+    serve::ServeOptions options;
+    options.socketPath = root + "/serve.sock";
+    options.statePath = root + "/serve";
+    options.jobs = 1;
+    options.warmS = cadenceS;
+    options.durability = Durability::Full;
+
     HostIo::instance().startRecording();
+    std::string error;
+    bool clean = false;
     {
-        serve::CheckpointPool pool(dir, 64 << 20, Durability::Full);
-        std::uint64_t generation = 0;
-        for (int round = 0; round < 2; ++round) {
-            for (std::uint64_t key : session.poolKeys) {
-                std::string inflight = pool.inflightPath(key);
-                CheckpointImage image;
-                image.configFingerprint = ++generation;
-                ChunkWriter payload;
-                payload.u64(generation);
-                payload.str("crashsim-pool");
-                image.add("payload", payload);
-                writeCheckpoint(inflight, image, Durability::Full);
-                if (!pool.promote(key, inflight))
-                    fatal("crashsim: reference promote failed");
-            }
+        serve::ServeServer server(options);
+        if (!server.start(error))
+            fatal("crashsim: cannot start the daemon: " + error);
+        session.journalPath = server.journalPath();
+        CancelToken stop;
+        std::thread daemon([&server, &stop] { server.serveUntil(stop); });
+        serve::ServeClient client;
+        clean = client.connect(options.socketPath, error);
+        for (const char *bench : {"jess", "db"}) {
+            serve::ServeRequest request;
+            request.id = bench;
+            request.client = "crashsim";
+            std::ostringstream spec;
+            spec << "bench=" << bench << " scale=" << scale;
+            request.spec = spec.str();
+            serve::ServeResponse response;
+            clean = clean && client.call(request, response, error) &&
+                    response.status == serve::statusOk &&
+                    response.servedFrom == "executed";
         }
+        stop.request(CancelToken::Drain);
+        daemon.join();
     }
     session.log = HostIo::instance().stopRecording();
+
+    if (!clean)
+        fatal("crashsim: the reference serve session must run clean " +
+              error);
+    session.refEntries = RunJournal::load(session.journalPath);
     harvestCheckpoints(session);
     return session;
 }
@@ -287,7 +315,7 @@ verifyPrefix(Check &check, const Session &session,
             std::string replayJournal = mapToScratch(
                 session.journalPath, recordRoot, scratchRoot);
             std::vector<JournalEntry> loaded =
-                RunJournal::load(replayJournal);
+                session.loadJournal(replayJournal);
             std::size_t acked = ackedSyncs(session.log, prefix,
                                            session.journalPath);
             check.expect(loaded.size() >= acked,
@@ -328,25 +356,6 @@ verifyPrefix(Check &check, const Session &session,
                              "' is not a recorded image");
         }
 
-        // Pool recovery over the wreck must not throw, and anything
-        // it serves must verify as a recorded image.
-        if (!session.poolKeys.empty()) {
-            serve::CheckpointPool pool(scratchRoot + "/pool",
-                                       64 << 20, Durability::Full);
-            pool.recover();
-            for (std::uint64_t key : session.poolKeys) {
-                std::string hit = pool.lookup(key);
-                if (hit.empty())
-                    continue;
-                std::string bytes = slurpNewest(hit);
-                check.expect(
-                    bytes.empty() ||
-                        session.imagePayloads.count(bytes) != 0,
-                    where.str() + ": pool served a non-recorded "
-                                  "image for key " +
-                        serve::CheckpointPool::keyName(key));
-            }
-        }
     } catch (const std::exception &e) {
         check.expect(false, where.str() +
                                 ": recovery crashed: " + e.what());
@@ -381,7 +390,7 @@ main(int argc, char **argv)
               << "\n";
     std::vector<Session> sessions;
     sessions.push_back(recordSweep(recordRoot, scale, cadenceS));
-    sessions.push_back(recordPool(recordRoot));
+    sessions.push_back(recordServe(recordRoot, scale, cadenceS));
     for (const Session &session : sessions) {
         std::cout << "  " << session.name << ": "
                   << session.log.size() << " host-I/O ops\n";
@@ -422,9 +431,10 @@ main(int argc, char **argv)
         }
         if (!session.journalPath.empty()) {
             check.expect(
-                RunJournal::load(
-                    mapToScratch(session.journalPath, recordRoot,
-                                 scratchRoot))
+                session
+                        .loadJournal(mapToScratch(session.journalPath,
+                                                  recordRoot,
+                                                  scratchRoot))
                         .size() == session.refEntries.size(),
                 session.name +
                     ": final synced journal lost entries");

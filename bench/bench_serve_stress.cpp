@@ -10,16 +10,18 @@
  *     retries against `overloaded` rejections; a fraction of the
  *     clients disconnect without reading their responses, so the
  *     daemon must survive writing to vanished peers.
- *  2. Crash: with a long run in flight, the daemon is SIGKILL'd —
- *     no drain, no flush beyond the journal's own per-line flush —
- *     and restarted on the same state directory. Every spec answered
- *     in phase 1 must be re-answered from the journal byte-
- *     identically, and the in-flight job's orphaned warm-up
- *     checkpoints must be recovered into the pool.
+ *  2. Crash: once a long run in flight has autosaved, the daemon is
+ *     SIGKILL'd — no drain, no flush beyond the journal's own
+ *     per-line flush — and restarted on the same state directory.
+ *     Every spec answered in phase 1 must be re-answered from the
+ *     journal byte-identically, and the killed run's key file
+ *     (<state>/ckpt/<run fingerprint>.ckpt) must still be there and
+ *     read back, so the next submission of that spec resumes it.
  *  3. Reference: each distinct spec's served document is compared
  *     byte for byte against a cold in-process run at the same
- *     autosave cadence (only a failed run is ever rerun, so every
- *     served document is a first-attempt run).
+ *     autosave cadence, autosaving to a scratch file and restoring
+ *     nothing (only a failed run is ever rerun, so every served
+ *     document is a first-attempt run).
  *
  * Exit status 0 only when every check passed.
  *
@@ -45,10 +47,12 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/journal.hh"
 #include "core/runner.hh"
 #include "serve/client.hh"
 #include "serve/executor.hh"
 #include "serve/server.hh"
+#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/signals.hh"
 
@@ -166,8 +170,8 @@ main(int argc, char **argv)
     options.warmS = warmS;
 
     // A handful of distinct specs; every request maps onto one of
-    // them, so the flood exercises journal hits and warm starts, not
-    // just raw execution.
+    // them, so the flood exercises journal hits and twins waiting on
+    // one execution, not just raw execution.
     std::vector<std::string> specs;
     for (int i = 0; i < 4; ++i) {
         std::ostringstream spec;
@@ -255,18 +259,37 @@ main(int argc, char **argv)
 
     // ---------------------------------------------------------
     std::cout << "phase 2: SIGKILL mid-flight, restart, replay\n";
+    const std::string victimSpec = "bench=jess scale=5.0";
+    std::string victimKeyFile;
+    std::uint64_t victimMachine = 0;
     {
-        // Park a long job in flight so the kill tears real work.
+        RunSpec runSpec;
+        std::string bench, error;
+        check.expect(serve::parseServeSpec(victimSpec, runSpec, bench,
+                                           error),
+                     "parse the victim spec: " + error);
+        runSpec.checkpointEveryS = warmS;
+        victimKeyFile =
+            options.checkpointPath(specFingerprint(runSpec));
+        victimMachine = machineCheckpointFingerprint(
+            runSpec.bench, runSpec.config, runSpec.scale);
+    }
+    {
+        // Park a long job in flight so the kill tears real work, and
+        // kill only once it has autosaved.
         serve::ServeClient slow;
         if (connectWithRetry(slow, options.socketPath)) {
             serve::ServeRequest request;
             request.client = "victim";
             request.id = "long-job";
-            request.spec = "bench=jess scale=5.0";
+            request.spec = victimSpec;
             slow.send(request);
         }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(300));
+        for (int i = 0; i < 1000 && checkpointBytes(victimKeyFile) == 0;
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        check.expect(checkpointBytes(victimKeyFile) > 0,
+                     "the in-flight victim autosaved before the kill");
         kill(daemon, SIGKILL);
         int status = 0;
         waitpid(daemon, &status, 0);
@@ -302,16 +325,25 @@ main(int argc, char **argv)
     std::cout << "  replayed " << replayed << " specs from the "
               << "journal after SIGKILL\n";
 
+    // The killed run's progress survives the restart: its key file is
+    // still there and reads back (falling back one generation if the
+    // kill tore the newest) as an image of the victim's machine, so
+    // resubmitting the spec resumes it.
+    try {
+        CheckpointRead read = readNewestCheckpoint(victimKeyFile);
+        check.expect(read.image.configFingerprint == victimMachine,
+                     "victim key file holds the victim's machine");
+    } catch (const CheckpointError &e) {
+        check.expect(false, std::string("victim key file after "
+                                        "restart: ") +
+                                e.what());
+    }
+
     // ---------------------------------------------------------
     std::cout << "phase 3: byte-identity against cold references\n";
     {
         ScopedErrorHandler firewall(throwingErrorHandler);
-        std::string scratchDir = state + "/scratch";
-        fs::create_directories(scratchDir);
-        serve::CheckpointPool scratch(scratchDir, 0);
-        serve::ServeExecOptions policy;
-        policy.pool = &scratch;
-        policy.warmEveryS = warmS;
+        const std::string scratch = state + "/scratch.ckpt";
         CancelToken token;
         for (const auto &[spec, bytes] : documents) {
             RunSpec runSpec;
@@ -321,8 +353,11 @@ main(int argc, char **argv)
                 check.expect(false, "re-parse " + spec);
                 continue;
             }
+            runSpec.checkpointEveryS = warmS;
+            runSpec.checkpointPath = scratch;
             serve::ServeExecResult cold =
-                serve::executeServeSpec(runSpec, policy, token);
+                serve::executeServeSpec(runSpec, "serve", token);
+            removeCheckpoint(scratch);
             std::ostringstream document;
             writeExperimentDocument(document, "serve", false,
                                     {cold.runJson});

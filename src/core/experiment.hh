@@ -141,8 +141,8 @@ BenchmarkRun runBenchmark(Benchmark bench, const SystemConfig &config,
 /**
  * machineFingerprint() of the workload runBenchmark would attach for
  * (bench, scale): the fingerprint a checkpoint of that run carries.
- * Two specs that agree on it can exchange machine checkpoints; it is
- * the key of the serve daemon's warm checkpoint pool.
+ * Two specs that agree on it can exchange machine checkpoints;
+ * specFingerprint() adds the run settings on top.
  */
 std::uint64_t machineCheckpointFingerprint(Benchmark bench,
                                            const SystemConfig &config,

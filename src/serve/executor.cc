@@ -68,26 +68,10 @@ parseServeSpec(const std::string &text, RunSpec &spec,
 }
 
 ServeExecResult
-executeServeSpec(RunSpec spec, const ServeExecOptions &options,
+executeServeSpec(RunSpec spec, const std::string &title,
                  const CancelToken &token)
 {
     ServeExecResult result;
-
-    // Arm the warm-start plumbing: autosave to a private in-flight
-    // path (concurrent same-config jobs must never race on one
-    // file), and restore from the pool's warm image when one exists.
-    const bool armed = options.pool && options.warmEveryS > 0.0;
-    std::uint64_t key = 0;
-    std::string inflight;
-    if (armed) {
-        key = machineCheckpointFingerprint(spec.bench, spec.config,
-                                           spec.scale);
-        inflight = options.pool->inflightPath(key);
-        spec.checkpointEveryS = options.warmEveryS;
-        spec.checkpointPath = inflight;
-        spec.restorePath = options.pool->lookup(key);
-        spec.durability = options.durability;
-    }
 
     // The simulator is deterministic, so a plain rerun fails the
     // same way; the one rerun is the diagnose=1 rerun, with the
@@ -95,23 +79,11 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
     // contract. A failure after a warm start could be the image's
     // fault, so the rerun starts cold; the identical cadence keeps
     // the document bytes unchanged either way.
-    result.run = runSpecProtected(options.title, spec, token);
+    result.run = runSpecProtected(title, spec, token);
     if (result.run.result.outcome == RunOutcome::Failed &&
         !token.cancelled()) {
         spec.restorePath.clear();
-        diagnoseRun(options.title, spec, token, result.run);
-    }
-
-    if (armed) {
-        // A degraded run stopped autosaving mid-flight; whatever its
-        // in-flight image holds predates the failure, so discard it
-        // rather than warm future jobs from a doubtful file.
-        if (result.run.hasData() &&
-            result.run.result.outcome != RunOutcome::Failed &&
-            !result.run.storageDegraded)
-            options.pool->promote(key, inflight);
-        else
-            options.pool->discard(inflight);
+        diagnoseRun(title, spec, token, result.run);
     }
 
     result.attempts = result.run.attempts;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Per-job execution policy of the serve daemon: warm-start from the
- * checkpoint pool, one cold diagnostic rerun of a failed run, and the
- * evidence (attempts, warm-start tick, executed ticks) the response
- * envelope reports.
+ * Per-job execution policy of the serve daemon: one cold diagnostic
+ * rerun of a failed run, and the evidence (attempts, warm-start tick,
+ * executed ticks) the response envelope reports.
  *
- * The executor is deliberately independent of sockets and threads so
- * tests can drive it directly; the daemon calls it from worker
- * threads with a per-job CancelToken.
+ * The executor is deliberately independent of sockets, threads and
+ * files so tests can drive it directly; the daemon calls it from
+ * worker threads with a per-job CancelToken, after filling in the
+ * spec's autosave cadence, autosave path and (when an earlier
+ * submission of the same run left one) restore path.
  */
 
 #ifndef SOFTWATT_SERVE_EXECUTOR_HH
@@ -18,32 +19,8 @@
 
 #include "core/runner.hh"
 
-#include "checkpoint_pool.hh"
-
 namespace softwatt::serve
 {
-
-/** Service-wide execution policy applied to every job. */
-struct ServeExecOptions
-{
-    /** Experiment title used in run logs. */
-    std::string title = "serve";
-
-    /**
-     * Autosave cadence in simulated seconds; 0 disables
-     * checkpointing entirely (and with it warm starts). Checkpoints
-     * are a deterministic perturbation, so every run of a config —
-     * warm, cold, or reference — must use the same cadence for
-     * byte-identical documents.
-     */
-    double warmEveryS = 0.0;
-
-    /** Warm image pool; null disables checkpointing like warmEveryS=0. */
-    CheckpointPool *pool = nullptr;
-
-    /** Durability level for in-flight autosaves (see host_io.hh). */
-    Durability durability = Durability::Buffered;
-};
 
 /** Everything the daemon needs to answer for one executed job. */
 struct ServeExecResult
@@ -67,15 +44,15 @@ struct ServeExecResult
 };
 
 /**
- * Execute @p spec under the service policy. A run that Failed inside
- * the exception firewall is rerun once, cold, through diagnoseRun
- * (invariant sweeps forced on) unless the job was cancelled. Never
- * throws: failures come back as a run with RunOutcome::Failed.
- * Requires a throwing error handler to be installed (the daemon
- * installs one for its lifetime; see runSpecProtected).
+ * Execute @p spec, logging under @p title. A run that Failed inside
+ * the exception firewall is rerun once, cold (restorePath cleared),
+ * through diagnoseRun (invariant sweeps forced on) unless the job was
+ * cancelled. Never throws: failures come back as a run with
+ * RunOutcome::Failed. Requires a throwing error handler to be
+ * installed (the daemon installs one for its lifetime; see
+ * runSpecProtected).
  */
-ServeExecResult executeServeSpec(RunSpec spec,
-                                 const ServeExecOptions &options,
+ServeExecResult executeServeSpec(RunSpec spec, const std::string &title,
                                  const CancelToken &token);
 
 /**

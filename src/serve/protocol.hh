@@ -79,13 +79,14 @@ struct ServeResponse
     /** "executed" or "journal"; "" when no run was performed. */
     std::string servedFrom;
 
-    /** Run resumed from a pooled warm checkpoint. */
+    /** Run resumed from the autosave an earlier, interrupted
+     *  submission of the same spec left behind. */
     bool warmStart = false;
 
     /** Simulated tick the run resumed from (0 for cold runs). */
     std::uint64_t warmStartTick = 0;
 
-    /** Simulated ticks actually executed in this process. */
+    /** Simulated ticks actually executed by this submission. */
     std::uint64_t ticksExecuted = 0;
 
     /** Executor attempts consumed (retries + 1). */

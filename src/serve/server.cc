@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "core/system.hh"
+#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 #include "executor.hh"
@@ -61,7 +62,6 @@ ServeOptions::fromConfig(const Config &args)
     options.statePath = args.getString("serve_state", "");
     std::int64_t jobs = args.getInt("serve_jobs", 2);
     std::int64_t queueMax = args.getInt("serve_queue_max", 64);
-    options.poolMb = args.getDouble("serve_pool_mb", 64.0);
     options.warmS = args.getDouble("serve_warm_s", 0.0);
     options.wallTimeoutS = args.getDouble("serve_wall_timeout_s", 0.0);
     std::string durable = args.getString("durability", "buffered");
@@ -82,9 +82,6 @@ ServeOptions::fromConfig(const Config &args)
     if (queueMax < 0)
         fatal(msg() << "config: serve_queue_max must be >= 0 "
                     << "(got " << queueMax << ")");
-    if (!(options.poolMb >= 0.0) || options.poolMb > 1e9)
-        fatal(msg() << "config: serve_pool_mb must be in [0, 1e9] "
-                    << "(got " << options.poolMb << ")");
     if (!(options.warmS >= 0.0) || options.warmS > 1e18)
         fatal(msg() << "config: serve_warm_s must be a finite value "
                     << ">= 0 (got " << options.warmS << ")");
@@ -98,12 +95,14 @@ ServeOptions::fromConfig(const Config &args)
     return options;
 }
 
+std::string
+ServeOptions::checkpointPath(const std::string &runFingerprint) const
+{
+    return statePath + "/ckpt/" + runFingerprint + ".ckpt";
+}
+
 ServeServer::ServeServer(ServeOptions options)
-    : opts(std::move(options)),
-      poolStore(opts.statePath + "/pool",
-                std::uint64_t(opts.poolMb * 1024.0 * 1024.0),
-                opts.durability),
-      queue(opts.queueMax)
+    : opts(std::move(options)), queue(opts.queueMax)
 {
 }
 
@@ -121,12 +120,6 @@ ServeServer::journalPath() const
     return opts.statePath + "/serve.journal.jsonl";
 }
 
-std::string
-ServeServer::poolDirectory() const
-{
-    return opts.statePath + "/pool";
-}
-
 bool
 ServeServer::start(std::string &error)
 {
@@ -138,10 +131,11 @@ ServeServer::start(std::string &error)
                       << opts.statePath << "': " << ec.message();
         return false;
     }
-    fs::create_directories(poolDirectory(), ec);
+    const std::string ckptDir = opts.statePath + "/ckpt";
+    fs::create_directories(ckptDir, ec);
     if (ec) {
-        error = msg() << "cannot create pool directory '"
-                      << poolDirectory() << "': " << ec.message();
+        error = msg() << "cannot create checkpoint directory '"
+                      << ckptDir << "': " << ec.message();
         return false;
     }
 
@@ -157,6 +151,14 @@ ServeServer::start(std::string &error)
         answers[answerKey(entry.experiment, entry.bench,
                           entry.variant, entry.config)] =
             Answer{entry.runJson, entry.attempts, entry.outcome};
+        // A daemon killed between journaling an answer and deleting
+        // the run's autosave leaves the file; nothing would ever
+        // execute (and so delete) it again. The key is read back
+        // from disk, so only a plain hex name becomes a path.
+        if (!entry.config.empty() &&
+            entry.config.find_first_not_of("0123456789abcdef") ==
+                std::string::npos)
+            removeCheckpoint(opts.checkpointPath(entry.config));
     }
     if (!journal.open(journalPath(), /*truncate=*/false,
                       opts.durability)) {
@@ -164,8 +166,6 @@ ServeServer::start(std::string &error)
                       << journalPath() << "'";
         return false;
     }
-    std::size_t orphans = poolStore.recover();
-
     sockaddr_un address{};
     if (opts.socketPath.size() >= sizeof(address.sun_path)) {
         error = msg() << "socket path '" << opts.socketPath
@@ -202,9 +202,7 @@ ServeServer::start(std::string &error)
     workers->setPendingLimit(std::size_t(opts.jobs) * 2);
 
     status(msg() << "serve: listening on " << opts.socketPath << " ("
-                 << answers.size() << " journaled answers, "
-                 << poolStore.entries() << " pooled images, "
-                 << orphans << " orphans promoted)");
+                 << answers.size() << " journaled answers)");
     return true;
 }
 
@@ -350,26 +348,20 @@ ServeServer::handleRun(const std::shared_ptr<Session> &session,
         return;
     }
 
+    // The cadence perturbs what a run computes (§4g), so it is part
+    // of the run fingerprint that keys both the answer and the
+    // autosave.
+    job->spec.checkpointEveryS = opts.warmS;
     job->fingerprint = specFingerprint(job->spec);
     job->identity = answerKey(request.experiment, job->benchName,
                               job->spec.variant, job->fingerprint);
+    job->request = std::move(request);
 
-    {
-        std::lock_guard<std::mutex> lock(answersMutex);
-        auto hit = answers.find(job->identity);
-        if (hit != answers.end()) {
-            journalHit.fetch_add(1);
-            response.status = statusOk;
-            response.servedFrom = "journal";
-            response.attempts = hit->second.attempts;
-            response.document = renderDocument(request.experiment,
-                                               hit->second.runJson);
-            respond(session, response);
-            return;
-        }
+    if (answerFromJournal(*job, response)) {
+        respond(session, response);
+        return;
     }
 
-    job->request = std::move(request);
     job->session = session;
     std::uint64_t wallMs =
         job->request.wallMs
@@ -478,19 +470,29 @@ ServeServer::executeJob(const JobPtr &job)
     ServeResponse response;
     response.id = job->request.id;
 
-    if (job->cancel.cancelled()) {
+    // One execution per run fingerprint: a twin of a job already
+    // executing waits for it, and is then usually answered by it.
+    // Its autosave file is never shared between two live runs.
+    const bool claimed = !job->cancel.cancelled() && claimRun(*job);
+    if (!claimed) {
         // Cancelled (client cancel, wall deadline, or hard shutdown)
         // while still queued: never started, nothing to report.
         response.status = statusCancelled;
         response.error = "cancelled before execution";
+    } else if (answerFromJournal(*job, response)) {
+        // A twin finished while this job waited.
     } else {
-        ServeExecOptions policy;
-        policy.title = job->request.experiment;
-        policy.warmEveryS = opts.warmS;
-        policy.pool = &poolStore;
-        policy.durability = opts.durability;
-        ServeExecResult done =
-            executeServeSpec(job->spec, policy, job->cancel);
+        RunSpec spec = job->spec;
+        if (spec.checkpointEveryS > 0.0) {
+            // Resume what a cancelled or killed submission of this
+            // same run left behind.
+            spec.checkpointPath = opts.checkpointPath(job->fingerprint);
+            if (checkpointBytes(spec.checkpointPath) > 0)
+                spec.restorePath = spec.checkpointPath;
+            spec.durability = opts.durability;
+        }
+        ServeExecResult done = executeServeSpec(
+            spec, job->request.experiment, job->cancel);
         executed.fetch_add(1);
         if (done.warmStarted)
             warmStarted.fetch_add(1);
@@ -532,10 +534,17 @@ ServeServer::executeJob(const JobPtr &job)
                 journal.append(entry);
             }
         }
+        // Only a cancelled run has progress worth resuming. A failed
+        // one is deleted too: its diagnostic rerun already ran cold.
+        if (!spec.checkpointPath.empty() &&
+            outcome != RunOutcome::Cancelled)
+            removeCheckpoint(spec.checkpointPath);
         // The append above may itself have degraded the journal;
         // this job's answer is then NOT durable and must say so.
         response.degraded |= journal.degraded();
     }
+    if (claimed)
+        releaseRun(*job);
 
     eraseLive(job);
     slotFree.notify_one();
@@ -547,6 +556,46 @@ ServeServer::executeJob(const JobPtr &job)
                            ? " (result journaled)"
                            : ""));
     }
+}
+
+bool
+ServeServer::answerFromJournal(const Job &job, ServeResponse &response)
+{
+    std::lock_guard<std::mutex> lock(answersMutex);
+    auto hit = answers.find(job.identity);
+    if (hit == answers.end())
+        return false;
+    journalHit.fetch_add(1);
+    response.status = statusOk;
+    response.servedFrom = "journal";
+    response.attempts = hit->second.attempts;
+    response.document =
+        renderDocument(job.request.experiment, hit->second.runJson);
+    return true;
+}
+
+bool
+ServeServer::claimRun(const Job &job)
+{
+    std::unique_lock<std::mutex> lock(runningMutex);
+    while (running.count(job.fingerprint)) {
+        if (job.cancel.cancelled())
+            return false;
+        // The cancel token has no wakeup of its own; poll it.
+        runFinished.wait_for(lock, std::chrono::milliseconds(20));
+    }
+    running.insert(job.fingerprint);
+    return true;
+}
+
+void
+ServeServer::releaseRun(const Job &job)
+{
+    {
+        std::lock_guard<std::mutex> lock(runningMutex);
+        running.erase(job.fingerprint);
+    }
+    runFinished.notify_all();
 }
 
 void

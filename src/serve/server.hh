@@ -18,11 +18,12 @@
  *    window.
  *  - Crash recovery: finished runs are journaled (append-only across
  *    daemon generations), so a SIGKILL'd daemon re-answers finished
- *    jobs byte-identically from the journal; orphaned warm-up
- *    checkpoints are promoted into the pool so in-flight progress
- *    survives too.
- *  - Warm checkpoint pool: jobs resume from pooled post-warm-up
- *    images of matching configurations (see checkpoint_pool.hh).
+ *    jobs byte-identically from the journal.
+ *  - Resume: each executing job autosaves (at serve_warm_s=) to one
+ *    file named by its run fingerprint, removed once the answer is
+ *    journaled; a job cancelled or killed mid-flight leaves it, and
+ *    the next submission of the same spec continues from it. At most
+ *    one job per run fingerprint executes at a time.
  */
 
 #ifndef SOFTWATT_SERVE_SERVER_HH
@@ -35,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +46,6 @@
 #include "sim/thread_pool.hh"
 
 #include "admission.hh"
-#include "checkpoint_pool.hh"
 #include "protocol.hh"
 #include "session.hh"
 
@@ -57,7 +58,7 @@ struct ServeOptions
     /** serve_socket=: unix socket path the daemon listens on. */
     std::string socketPath;
 
-    /** serve_state=: directory for the journal and checkpoint pool. */
+    /** serve_state=: directory for the journal and run autosaves. */
     std::string statePath;
 
     /** serve_jobs=: worker threads executing runs. */
@@ -66,10 +67,12 @@ struct ServeOptions
     /** serve_queue_max=: admission bound; 0 = unbounded. */
     std::size_t queueMax = 64;
 
-    /** serve_pool_mb=: warm pool budget; 0 = scratch (cold) mode. */
-    double poolMb = 64.0;
-
-    /** serve_warm_s=: autosave cadence in simulated seconds; 0 off. */
+    /**
+     * serve_warm_s=: autosave cadence in simulated seconds; 0 off.
+     * Folded into every job's RunSpec::checkpointEveryS before its
+     * run fingerprint is taken, so answers and autosaves computed at
+     * one cadence are never reused at another.
+     */
     double warmS = 0.0;
 
     /** serve_wall_timeout_s=: default per-job wall budget; 0 none. */
@@ -77,11 +80,18 @@ struct ServeOptions
 
     /**
      * durability=: barrier discipline for the answer journal and
-     * the pool's promote chains. Buffered (default) survives
-     * SIGKILL; full also survives a power cut (fdatasync per
-     * journal append, fsync'd rename chains).
+     * the run autosaves. Buffered (default) survives SIGKILL; full
+     * also survives a power cut (fdatasync per journal append,
+     * fsync'd rename chains).
      */
     Durability durability = Durability::Buffered;
+
+    /**
+     * The autosave file of the run whose specFingerprint() is
+     * @p runFingerprint: <serve_state>/ckpt/<fingerprint>.ckpt, a
+     * two-generation checkpoint file (sim/checkpoint.hh).
+     */
+    std::string checkpointPath(const std::string &runFingerprint) const;
 
     /**
      * Read and range-check every serve_* key; fatal() on nonsense
@@ -109,8 +119,9 @@ class ServeServer
     /**
      * Create the state directory, open the journal (append mode —
      * answers accumulate across daemon generations), load journaled
-     * answers, recover the checkpoint pool, bind the socket, and
-     * start the worker pool. @return false with @p error on failure.
+     * answers, delete any autosave a killed daemon left for a run
+     * whose answer is journaled, bind the socket, and start the
+     * worker pool. @return false with @p error on failure.
      */
     bool start(std::string &error);
 
@@ -123,8 +134,6 @@ class ServeServer
 
     const ServeOptions &options() const { return opts; }
     std::string journalPath() const;
-    std::string poolDirectory() const;
-    CheckpointPool &pool() { return poolStore; }
 
     // Service counters (tests and the drain log line).
     std::uint64_t executedJobs() const { return executed.load(); }
@@ -145,7 +154,7 @@ class ServeServer
         ServeRequest request;
         RunSpec spec;
         std::string benchName;
-        std::string fingerprint;  ///< specFingerprint(spec)
+        std::string fingerprint;  ///< specFingerprint(spec), the run key
         std::string identity;     ///< journal answer key
         CancelToken cancel;
         std::shared_ptr<Session> session;
@@ -170,6 +179,20 @@ class ServeServer
     void dispatchLoop();
     void deadlineLoop();
     void executeJob(const JobPtr &job);
+
+    /**
+     * Fill @p response from the answer journaled for @p job's
+     * identity. @return false when there is none.
+     */
+    bool answerFromJournal(const Job &job, ServeResponse &response);
+
+    /**
+     * Wait until no other job with @p job's run fingerprint is
+     * executing, then mark it executing. @return false (nothing
+     * marked) when @p job is cancelled while it waits.
+     */
+    bool claimRun(const Job &job);
+    void releaseRun(const Job &job);
     void respond(const std::shared_ptr<Session> &session,
                  const ServeResponse &response);
 
@@ -187,7 +210,6 @@ class ServeServer
     ServeOptions opts;
     int listenFd = -1;
     RunJournal journal;
-    CheckpointPool poolStore;
     AdmissionQueue<JobPtr> queue;
     std::unique_ptr<ThreadPool> workers;
 
@@ -201,6 +223,11 @@ class ServeServer
 
     std::mutex slotMutex;
     std::condition_variable slotFree;
+
+    /** Run fingerprints with a job executing (see claimRun). */
+    std::mutex runningMutex;
+    std::condition_variable runFinished;
+    std::set<std::string> running;
 
     /**
      * One accepted connection: its session, its reader thread, and

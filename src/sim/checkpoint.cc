@@ -351,24 +351,6 @@ readNewestCheckpoint(const std::string &path)
     }
 }
 
-IoStatus
-promoteCheckpoint(const std::string &from, const std::string &to,
-                  Durability durability)
-{
-    IoStatus rotated = rotateCheckpoint(to, durability);
-    if (!rotated) {
-        return IoStatus::failure(msg() << "cannot rotate '" << to
-                                       << "': " << rotated.message);
-    }
-    IoStatus moved = hostRename(from, to, durability);
-    if (!moved) {
-        return IoStatus::failure(msg() << "cannot promote '" << from
-                                       << "': " << moved.message);
-    }
-    hostRemoveBestEffort(checkpointPreviousGeneration(from));
-    return moved;
-}
-
 void
 removeCheckpoint(const std::string &path)
 {

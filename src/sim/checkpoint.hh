@@ -235,7 +235,7 @@ CheckpointImage readCheckpoint(const std::string &path);
 
 /*
  * Two-generation checkpoint files. Every checkpoint that must
- * survive a crash — a run's autosave, a serve pool slot — keeps its
+ * survive a crash — a runner or serve run's autosave — keeps its
  * newest image at <path> and one older generation at "<path>.1",
  * and only the functions below know it:
  *
@@ -274,18 +274,6 @@ struct CheckpointRead
  * when neither generation verifies.
  */
 CheckpointRead readNewestCheckpoint(const std::string &path);
-
-/**
- * Promote the image at @p from onto @p to: rotate @p to, then rename
- * @p from onto it. The rotation and the rename are checked on their
- * own, and a failed rotation returns before the rename, so one can
- * never mask the other. Once the rename lands, the older generation
- * left beside @p from is stale and is deleted.
- * @return the failed step's status, or success.
- */
-IoStatus promoteCheckpoint(const std::string &from,
-                           const std::string &to,
-                           Durability durability);
 
 /** Delete both generations of @p path (best-effort cleanup). */
 void removeCheckpoint(const std::string &path);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Host-I/O seam: every durability-critical filesystem operation in
- * the tree (journal appends, checkpoint temp-then-rename chains, the
- * serve pool's promote/rotate/recover moves, the runner's results
- * writer) goes through this module instead of calling the libc or
- * std::filesystem primitives directly.
+ * the tree (journal appends, checkpoint temp-then-rename chains and
+ * their removal, the runner's results writer) goes through this
+ * module instead of calling the libc or std::filesystem primitives
+ * directly.
  *
  * The seam buys three things:
  *

@@ -153,9 +153,10 @@ TEST(Characterization, DiskIsLargestComponentWithConventionalDisk)
     const PowerBreakdown &conv = jessRun().conventional;
     double disk = conv.componentSharePct(Component::Disk);
     for (Component c : allComponents) {
-        if (c != Component::Disk)
+        if (c != Component::Disk) {
             EXPECT_GE(disk, conv.componentSharePct(c))
                 << componentName(c);
+        }
     }
     // Paper Fig. 5: ~34 %.
     EXPECT_GT(disk, 25.0);

@@ -3,13 +3,13 @@
  * Coverage for the softwatt-serve service layer (DESIGN.md §4j):
  * admission queue fairness and shedding, the wire protocol, the
  * journal's cross-generation read path under adversarial truncation,
- * the warm checkpoint pool (promotion, rotation, LRU eviction, orphan
- * recovery), spec parsing, session I/O against dead peers, the
- * executor's warm-start evidence (a warm-started run must skip the
- * warm-up it shares with its predecessor and still produce a
- * byte-identical document), and an in-process end-to-end daemon
- * driven through ServeClient — including a journal replay across a
- * simulated daemon restart.
+ * spec parsing, session I/O against dead peers, the executor's
+ * diagnostic rerun, and an in-process end-to-end daemon driven
+ * through ServeClient: journal replay across a simulated restart, a
+ * cancelled run resumed from its own autosave (it must skip what the
+ * cancelled submission ran and still produce a byte-identical
+ * document), answers that match their cold references across CPU
+ * models and deadlines, and one execution per run fingerprint.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -32,7 +34,6 @@
 #include "sim/logging.hh"
 
 #include "serve/admission.hh"
-#include "serve/checkpoint_pool.hh"
 #include "serve/client.hh"
 #include "serve/executor.hh"
 #include "serve/protocol.hh"
@@ -42,8 +43,6 @@
 namespace fs = std::filesystem;
 
 using softwatt::CancelToken;
-using softwatt::CheckpointImage;
-using softwatt::ChunkWriter;
 using softwatt::Config;
 using softwatt::JournalEntry;
 using softwatt::RunJournal;
@@ -51,10 +50,8 @@ using softwatt::RunSpec;
 using softwatt::ScopedErrorHandler;
 using softwatt::SimError;
 using softwatt::throwingErrorHandler;
-using softwatt::writeCheckpoint;
 
 using softwatt::serve::AdmissionQueue;
-using softwatt::serve::CheckpointPool;
 using softwatt::serve::executeServeSpec;
 using softwatt::serve::parseServeRequest;
 using softwatt::serve::parseServeResponse;
@@ -62,7 +59,6 @@ using softwatt::serve::parseServeSpec;
 using softwatt::serve::renderServeRequest;
 using softwatt::serve::renderServeResponse;
 using softwatt::serve::ServeClient;
-using softwatt::serve::ServeExecOptions;
 using softwatt::serve::ServeExecResult;
 using softwatt::serve::ServeOptions;
 using softwatt::serve::ServeRequest;
@@ -94,19 +90,6 @@ class ServeDirTest : public ::testing::Test
 
     std::string dir;
 };
-
-/** A valid checkpoint image with a payload of @p bytes bytes. */
-CheckpointImage
-makeImage(std::uint64_t fingerprint, std::size_t bytes)
-{
-    CheckpointImage image;
-    image.configFingerprint = fingerprint;
-    ChunkWriter chunk;
-    for (std::size_t i = 0; i < bytes; ++i)
-        chunk.u8(std::uint8_t(i));
-    image.add("payload", chunk);
-    return image;
-}
 
 JournalEntry
 makeEntry(const std::string &bench, const std::string &config,
@@ -359,173 +342,6 @@ TEST_F(ServeDirTest, JournalMissingFileYieldsNoEntries)
 }
 
 // ---------------------------------------------------------------
-// Warm checkpoint pool
-
-TEST_F(ServeDirTest, PoolPromotesAndLooksUp)
-{
-    CheckpointPool pool(dir, 64 << 20);
-    const std::uint64_t key = 0x1234abcd5678ef01ull;
-
-    EXPECT_EQ(pool.lookup(key), "");
-
-    std::string inflight = pool.inflightPath(key);
-    EXPECT_NE(inflight, pool.inflightPath(key));
-    writeCheckpoint(inflight, makeImage(key, 256));
-    EXPECT_TRUE(pool.promote(key, inflight));
-
-    std::string warm = pool.lookup(key);
-    EXPECT_EQ(warm, dir + "/" + CheckpointPool::keyName(key));
-    EXPECT_TRUE(fs::exists(warm));
-    EXPECT_FALSE(fs::exists(inflight));
-    EXPECT_EQ(pool.entries(), 1u);
-    EXPECT_GT(pool.bytesUsed(), 0u);
-}
-
-TEST_F(ServeDirTest, PoolRotatesThePreviousGeneration)
-{
-    CheckpointPool pool(dir, 64 << 20);
-    const std::uint64_t key = 42;
-
-    std::string first = pool.inflightPath(key);
-    writeCheckpoint(first, makeImage(key, 100));
-    ASSERT_TRUE(pool.promote(key, first));
-    std::uintmax_t firstSize =
-        fs::file_size(dir + "/" + CheckpointPool::keyName(key));
-
-    std::string second = pool.inflightPath(key);
-    writeCheckpoint(second, makeImage(key, 300));
-    ASSERT_TRUE(pool.promote(key, second));
-
-    std::string warm = pool.lookup(key);
-    std::string previous =
-        softwatt::checkpointPreviousGeneration(warm);
-    ASSERT_TRUE(fs::exists(previous));
-    EXPECT_EQ(fs::file_size(previous), firstSize);
-    EXPECT_GT(fs::file_size(warm), fs::file_size(previous));
-    // Both generations count against the budget.
-    EXPECT_EQ(pool.bytesUsed(),
-              fs::file_size(warm) + fs::file_size(previous));
-}
-
-TEST_F(ServeDirTest, PoolScratchModeRetainsNothing)
-{
-    CheckpointPool pool(dir, 0);
-    const std::uint64_t key = 7;
-    std::string inflight = pool.inflightPath(key);
-    writeCheckpoint(inflight, makeImage(key, 64));
-    EXPECT_FALSE(pool.promote(key, inflight));
-    EXPECT_FALSE(fs::exists(inflight));
-    EXPECT_EQ(pool.lookup(key), "");
-    EXPECT_EQ(pool.entries(), 0u);
-}
-
-TEST_F(ServeDirTest, PoolDropsEntriesWhoseFilesVanished)
-{
-    CheckpointPool pool(dir, 64 << 20);
-    const std::uint64_t key = 9;
-    std::string inflight = pool.inflightPath(key);
-    writeCheckpoint(inflight, makeImage(key, 64));
-    ASSERT_TRUE(pool.promote(key, inflight));
-
-    fs::remove(dir + "/" + CheckpointPool::keyName(key));
-    EXPECT_EQ(pool.lookup(key), "");
-    EXPECT_EQ(pool.entries(), 0u);
-}
-
-TEST_F(ServeDirTest, PoolEvictsLeastRecentlyUsedOverBudget)
-{
-    // Size one image, then budget the pool for two of them.
-    const std::size_t payload = 4096;
-    std::string probe = dir + "/probe.bin";
-    writeCheckpoint(probe, makeImage(1, payload));
-    std::uintmax_t imageSize = fs::file_size(probe);
-    fs::remove(probe);
-
-    CheckpointPool pool(dir, std::uint64_t(imageSize) * 2 +
-                                 imageSize / 2);
-    for (std::uint64_t key = 1; key <= 3; ++key) {
-        std::string inflight = pool.inflightPath(key);
-        writeCheckpoint(inflight, makeImage(key, payload));
-        pool.promote(key, inflight);
-    }
-
-    EXPECT_GE(pool.evictions(), 1u);
-    EXPECT_EQ(pool.lookup(1), "");  // Oldest key paid for the rest.
-    EXPECT_NE(pool.lookup(3), "");
-    EXPECT_LE(pool.bytesUsed(), std::uint64_t(imageSize) * 2 +
-                                    imageSize / 2);
-}
-
-TEST_F(ServeDirTest, PoolRecoversOrphansAndDropsTornOnes)
-{
-    const std::uint64_t pooled = 0x11;
-    const std::uint64_t orphan = 0x22;
-    const std::uint64_t torn = 0x33;
-
-    // An existing pool image from the previous daemon generation.
-    writeCheckpoint(dir + "/" + CheckpointPool::keyName(pooled),
-                    makeImage(pooled, 128));
-
-    // A healthy orphaned in-flight image...
-    std::string orphanPath =
-        dir + "/" + CheckpointPool::keyName(orphan).substr(0, 16) +
-        ".inflight.0.ckpt";
-    writeCheckpoint(orphanPath, makeImage(orphan, 128));
-    // ...with a stale rotated generation beside it.
-    writeCheckpoint(orphanPath + ".1", makeImage(orphan, 64));
-
-    // An orphan torn by SIGKILL mid-write, whose rotated predecessor
-    // is intact: recovery must fall back one generation.
-    std::string tornPath =
-        dir + "/" + CheckpointPool::keyName(torn).substr(0, 16) +
-        ".inflight.0.ckpt";
-    writeCheckpoint(tornPath, makeImage(torn, 256));
-    fs::resize_file(tornPath, fs::file_size(tornPath) / 2);
-    writeCheckpoint(tornPath + ".1", makeImage(torn, 128));
-
-    CheckpointPool pool(dir, 64 << 20);
-    EXPECT_EQ(pool.recover(), 2u);
-    EXPECT_EQ(pool.entries(), 3u);
-    EXPECT_NE(pool.lookup(pooled), "");
-    EXPECT_NE(pool.lookup(orphan), "");
-    EXPECT_NE(pool.lookup(torn), "");
-    EXPECT_FALSE(fs::exists(orphanPath));
-    EXPECT_FALSE(fs::exists(tornPath));
-
-    // The recovered torn key serves its intact predecessor.
-    EXPECT_NO_THROW(softwatt::readCheckpoint(pool.lookup(torn)));
-}
-
-TEST_F(ServeDirTest, PoolRecoversRotatedGenerationWithoutBase)
-{
-    const std::uint64_t lost = 0x44;
-    const std::uint64_t torn = 0x55;
-
-    // A rotated pool generation whose newest image vanished (crash
-    // between promote's rotate and rename): recovery must put the
-    // survivor back into the pool slot, not leak it untracked.
-    std::string lostBase = dir + "/" + CheckpointPool::keyName(lost);
-    writeCheckpoint(lostBase + ".1", makeImage(lost, 128));
-
-    // Same shape but the survivor itself is torn: recovery must
-    // delete it rather than leave it on disk forever.
-    std::string tornBase = dir + "/" + CheckpointPool::keyName(torn);
-    writeCheckpoint(tornBase + ".1", makeImage(torn, 256));
-    fs::resize_file(tornBase + ".1",
-                    fs::file_size(tornBase + ".1") / 2);
-
-    CheckpointPool pool(dir, 64 << 20);
-    EXPECT_EQ(pool.recover(), 1u);
-    EXPECT_EQ(pool.entries(), 1u);
-    EXPECT_EQ(pool.lookup(lost), lostBase);
-    EXPECT_TRUE(fs::exists(lostBase));
-    EXPECT_FALSE(fs::exists(lostBase + ".1"));
-    EXPECT_NO_THROW(softwatt::readCheckpoint(lostBase));
-    EXPECT_EQ(pool.lookup(torn), "");
-    EXPECT_FALSE(fs::exists(tornBase + ".1"));
-}
-
-// ---------------------------------------------------------------
 // Spec parsing and service options
 
 TEST(ServeSpec, ParsesRunKeysAndMachineKeys)
@@ -680,65 +496,7 @@ TEST(ServeSession, ShutdownUnblocksAReader)
 }
 
 // ---------------------------------------------------------------
-// Executor: the warm start must demonstrably skip the warm-up and
-// still produce a byte-identical document.
-
-TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
-{
-    ScopedErrorHandler firewall(throwingErrorHandler);
-    CancelToken token;
-
-    // Autosave every 20k ticks (1e-4 simulated seconds at the
-    // default 200 MHz) so even this short run banks many images.
-    ServeExecOptions policy;
-    policy.warmEveryS = 0.0001;
-
-    fs::create_directories(dir + "/pool");
-    CheckpointPool pool(dir + "/pool", 64 << 20);
-    policy.pool = &pool;
-
-    RunSpec spec;
-    std::string bench, error;
-    ASSERT_TRUE(
-        parseServeSpec("bench=jess scale=0.05", spec, bench, error))
-        << error;
-
-    // Run 1: cold, fills the pool.
-    ServeExecResult cold = executeServeSpec(spec, policy, token);
-    ASSERT_TRUE(cold.run.hasData());
-    EXPECT_FALSE(cold.warmStarted);
-    EXPECT_GT(cold.ticksExecuted, 0u);
-    EXPECT_EQ(pool.entries(), 1u);
-
-    // Run 2: same machine, different run management (a non-binding
-    // deadline changes specFingerprint but not the machine
-    // fingerprint), so it shares the warm image.
-    RunSpec warmSpec;
-    ASSERT_TRUE(parseServeSpec("bench=jess scale=0.05 deadline_s=999",
-                               warmSpec, bench, error))
-        << error;
-    ServeExecResult warm = executeServeSpec(warmSpec, policy, token);
-    ASSERT_TRUE(warm.run.hasData());
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_GT(warm.warmStartTick, 0u);
-
-    // The warm start must skip the bulk of the run, not a sliver.
-    EXPECT_LT(warm.ticksExecuted, cold.ticksExecuted / 2);
-    EXPECT_EQ(warm.warmStartTick + warm.ticksExecuted,
-              cold.ticksExecuted);
-
-    // Byte-identity against a cold reference of the SAME spec at the
-    // same cadence, produced through a scratch pool (always misses).
-    fs::create_directories(dir + "/scratch");
-    CheckpointPool scratch(dir + "/scratch", 0);
-    ServeExecOptions reference = policy;
-    reference.pool = &scratch;
-    ServeExecResult coldRef =
-        executeServeSpec(warmSpec, reference, token);
-    ASSERT_TRUE(coldRef.run.hasData());
-    EXPECT_FALSE(coldRef.warmStarted);
-    EXPECT_EQ(warm.runJson, coldRef.runJson);
-}
+// Executor
 
 TEST(ServeExecutor, FailedRunGetsOneDiagnosticRerun)
 {
@@ -749,13 +507,12 @@ TEST(ServeExecutor, FailedRunGetsOneDiagnosticRerun)
                                error))
         << error;
     spec.injectFailure = "deliberately poisoned run";
-    ServeExecOptions policy;
 
     softwatt::LogLevel saved = softwatt::logLevel();
     softwatt::setLogLevel(softwatt::LogLevel::Normal);
     CancelToken token;
     testing::internal::CaptureStderr();
-    ServeExecResult failed = executeServeSpec(spec, policy, token);
+    ServeExecResult failed = executeServeSpec(spec, "serve", token);
     std::string log = testing::internal::GetCapturedStderr();
 
     EXPECT_EQ(failed.attempts, 2);
@@ -770,7 +527,8 @@ TEST(ServeExecutor, FailedRunGetsOneDiagnosticRerun)
     CancelToken cancelled;
     cancelled.request(CancelToken::Hard);
     testing::internal::CaptureStderr();
-    ServeExecResult stopped = executeServeSpec(spec, policy, cancelled);
+    ServeExecResult stopped =
+        executeServeSpec(spec, "serve", cancelled);
     log = testing::internal::GetCapturedStderr();
     softwatt::setLogLevel(saved);
     EXPECT_EQ(stopped.attempts, 1);
@@ -811,6 +569,59 @@ class ServerThread
   private:
     std::thread thread;
 };
+
+/** A one-worker daemon under @p dir autosaving every 20k ticks
+ *  (1e-4 simulated seconds at the default 200 MHz). */
+ServeOptions
+daemonOptions(const std::string &dir)
+{
+    ServeOptions options;
+    options.socketPath = dir + "/serve.sock";
+    options.statePath = dir + "/state";
+    options.jobs = 1;
+    options.warmS = 0.0001;
+    return options;
+}
+
+/** @p specText as the daemon runs it: parsed, with its cadence. */
+RunSpec
+servedSpec(const std::string &specText, double warmS)
+{
+    RunSpec spec;
+    std::string bench, error;
+    EXPECT_TRUE(parseServeSpec(specText, spec, bench, error)) << error;
+    spec.checkpointEveryS = warmS;
+    return spec;
+}
+
+struct ColdRun
+{
+    std::string document;
+    std::uint64_t ticks = 0;
+};
+
+/**
+ * The cold reference for @p specText, as softwatt-serve-client
+ * cold=1 makes it: a fresh run at cadence @p warmS that autosaves to
+ * @p scratch and restores nothing. Call it before a daemon starts:
+ * it installs the process-wide error handler for its duration.
+ */
+ColdRun
+coldRun(const std::string &specText, double warmS,
+        const std::string &scratch)
+{
+    ScopedErrorHandler firewall(throwingErrorHandler);
+    RunSpec spec = servedSpec(specText, warmS);
+    spec.checkpointPath = scratch;
+    CancelToken token;
+    ServeExecResult done = executeServeSpec(spec, "serve", token);
+    softwatt::removeCheckpoint(scratch);
+    EXPECT_FALSE(done.warmStarted);
+    std::ostringstream document;
+    softwatt::writeExperimentDocument(document, "serve", false,
+                                      {done.runJson});
+    return {document.str(), done.ticksExecuted};
+}
 
 } // namespace
 
@@ -872,7 +683,17 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
         EXPECT_EQ(server.journalHits(), 1u);
         running.drain();
         EXPECT_FALSE(fs::exists(options.socketPath));
+        // The answer is journaled, so its autosave is gone.
+        EXPECT_TRUE(fs::is_empty(options.statePath + "/ckpt"));
     }
+
+    // A kill between the journal append and the autosave's removal
+    // leaves a stray the restarted daemon must delete.
+    const std::string stray = options.checkpointPath(
+        softwatt::specFingerprint(
+            servedSpec("bench=jess scale=0.03", options.warmS)));
+    std::ofstream(stray) << "left by a killed daemon";
+    ASSERT_TRUE(fs::exists(stray));
 
     // "Restart" the daemon on the same state directory: the journal
     // must re-answer the finished job byte-identically.
@@ -880,6 +701,7 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
         ServeServer server(options);
         std::string error;
         ASSERT_TRUE(server.start(error)) << error;
+        EXPECT_FALSE(fs::exists(stray));
         ServerThread running(server);
 
         ServeClient client;
@@ -935,6 +757,176 @@ TEST_F(ServeDirTest, ServerExecutesASpecThatDiffersOnlyInPowerPolicy)
     EXPECT_NE(governed.document.find("\"dvfs\""), std::string::npos);
     EXPECT_EQ(server.executedJobs(), 2u);
     EXPECT_EQ(server.journalHits(), 0u);
+    running.drain();
+}
+
+TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
+{
+    const ServeOptions options = daemonOptions(dir);
+    const std::string specText = "bench=jess scale=0.1";
+    const ColdRun reference =
+        coldRun(specText, options.warmS, dir + "/reference.ckpt");
+    const std::string keyFile = options.checkpointPath(
+        softwatt::specFingerprint(servedSpec(specText, options.warmS)));
+
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
+
+    // The first submission is cancelled once it has autosaved; the
+    // cancel must leave its key file behind.
+    ServeRequest request;
+    request.id = "first";
+    request.client = "e2e";
+    request.spec = specText;
+    ASSERT_TRUE(client.send(request));
+    for (int i = 0; i < 10000 && softwatt::checkpointBytes(keyFile) == 0;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(softwatt::checkpointBytes(keyFile), 0u);
+    ServeRequest cancel;
+    cancel.op = "cancel";
+    cancel.id = "first";
+    cancel.client = "e2e";
+    ASSERT_TRUE(client.send(cancel));
+    std::set<std::string> statuses;
+    ServeResponse response;
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(client.receive(response, error)) << error;
+        statuses.insert(response.status);
+    }
+    ASSERT_TRUE(statuses.count("cancelled"));
+    EXPECT_GT(softwatt::checkpointBytes(keyFile), 0u);
+
+    // The second submission of the same spec resumes from it, skips
+    // what the first one ran, and still matches the cold reference.
+    request.id = "second";
+    ASSERT_TRUE(client.call(request, response, error)) << error;
+    EXPECT_EQ(response.status, "ok") << response.error;
+    EXPECT_EQ(response.servedFrom, "executed");
+    EXPECT_TRUE(response.warmStart);
+    EXPECT_GT(response.warmStartTick, 0u);
+    EXPECT_LT(response.ticksExecuted, reference.ticks);
+    EXPECT_EQ(response.warmStartTick + response.ticksExecuted,
+              reference.ticks);
+    EXPECT_EQ(response.document, reference.document);
+    EXPECT_EQ(server.warmStartedJobs(), 1u);
+
+    // Its answer is journaled, so the autosave is gone.
+    EXPECT_EQ(softwatt::checkpointBytes(keyFile), 0u);
+    running.drain();
+}
+
+TEST_F(ServeDirTest, ServerAnswersEachCpuModelAndDeadlineLikeItsColdRun)
+{
+    // Three specs whose machine fingerprint is the same: only the
+    // CPU model or the deadline differs. Each is its own run, and
+    // each answer must be the bytes its own cold run produces.
+    const ServeOptions options = daemonOptions(dir);
+    const std::vector<std::string> specs = {
+        "bench=jess scale=0.05 cpu.model=mipsy",
+        "bench=jess scale=0.05 cpu.model=mxs",
+        "bench=jess scale=0.05 cpu.model=mipsy deadline_s=0.001",
+    };
+    std::vector<ColdRun> references;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        references.push_back(coldRun(
+            specs[i], options.warmS,
+            dir + "/reference" + std::to_string(i) + ".ckpt"));
+    }
+
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ServeRequest request;
+        request.id = "job-" + std::to_string(i);
+        request.client = "e2e";
+        request.spec = specs[i];
+        ServeResponse response;
+        ASSERT_TRUE(client.call(request, response, error)) << error;
+        EXPECT_EQ(response.status, "ok") << specs[i];
+        EXPECT_EQ(response.servedFrom, "executed") << specs[i];
+        EXPECT_FALSE(response.warmStart) << specs[i];
+        EXPECT_EQ(response.ticksExecuted, references[i].ticks)
+            << specs[i];
+        EXPECT_EQ(response.document, references[i].document)
+            << specs[i];
+    }
+    EXPECT_EQ(server.warmStartedJobs(), 0u);
+    EXPECT_TRUE(fs::is_empty(options.statePath + "/ckpt"));
+    running.drain();
+}
+
+TEST_F(ServeDirTest, ServerReexecutesAfterARestartAtAnotherCadence)
+{
+    // The cadence is part of what a run computes, so a journal
+    // written at one serve_warm_s= answers nothing at another.
+    ServeOptions options = daemonOptions(dir);
+    ServeRequest request;
+    request.client = "e2e";
+    request.spec = "bench=jess scale=0.03";
+    const std::pair<double, const char *> restarts[] = {
+        {0.0001, "executed"}, {0.0002, "executed"}, {0.0001, "journal"}};
+    for (const auto &[warmS, servedFrom] : restarts) {
+        options.warmS = warmS;
+        ServeServer server(options);
+        std::string error;
+        ASSERT_TRUE(server.start(error)) << error;
+        ServerThread running(server);
+        ServeClient client;
+        ASSERT_TRUE(client.connect(options.socketPath, error))
+            << error;
+        request.id = "at-" + std::to_string(warmS);
+        ServeResponse response;
+        ASSERT_TRUE(client.call(request, response, error)) << error;
+        EXPECT_EQ(response.status, "ok") << response.error;
+        // Only the return to the first cadence finds its answer.
+        EXPECT_EQ(response.servedFrom, servedFrom)
+            << "serve_warm_s=" << warmS;
+        running.drain();
+    }
+}
+
+TEST_F(ServeDirTest, ServerExecutesConcurrentTwinsOnce)
+{
+    // Two workers and two submissions of one spec: the twin waits
+    // for the executing job instead of racing it on the run's
+    // autosave file, then takes its journaled answer.
+    ServeOptions options = daemonOptions(dir);
+    options.jobs = 2;
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
+
+    ServeRequest request;
+    request.client = "e2e";
+    request.spec = "bench=jess scale=0.05";
+    for (const char *id : {"one", "two"}) {
+        request.id = id;
+        ASSERT_TRUE(client.send(request));
+    }
+    std::map<std::string, ServeResponse> responses;
+    for (int i = 0; i < 2; ++i) {
+        ServeResponse response;
+        ASSERT_TRUE(client.receive(response, error)) << error;
+        EXPECT_EQ(response.status, "ok") << response.error;
+        responses[response.servedFrom] = response;
+    }
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses["journal"].document,
+              responses["executed"].document);
+    EXPECT_EQ(server.executedJobs(), 1u);
+    EXPECT_EQ(server.journalHits(), 1u);
     running.drain();
 }
 

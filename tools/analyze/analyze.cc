@@ -799,7 +799,7 @@ durabilityFiles()
         "src/sim/checkpoint.cc",
         "src/core/journal.cc",
         "src/core/system.cc",
-        "src/serve/checkpoint_pool.cc",
+        "src/serve/server.cc",
     };
     return files;
 }

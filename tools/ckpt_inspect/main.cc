@@ -122,7 +122,7 @@ printPowerChunk(const softwatt::CheckpointChunk &chunk)
  * worst across all arguments: 0 verified, 1 parse failure (corrupt
  * or incompatible bytes), 2 not even bytes to parse — missing,
  * unreadable, or a zero-length stub. The distinction matters to
- * scripts: exit 2 on a pool directory usually means a torn rename
+ * scripts: exit 2 on an autosave usually means a torn rename
  * or crashed writer left a placeholder, not that a checkpoint went
  * bad, and the remedy (delete the stub, let recovery fall back) is
  * different from a corruption investigation.

@@ -12,14 +12,13 @@
  *
  * Cold-reference mode (no daemon): cold=1 executes the spec locally
  * with the same autosave cadence the daemon uses (warm_s= must match
- * the daemon's serve_warm_s=) but without retaining or restoring any
- * checkpoint, producing the byte-identical cold document the CI
- * smoke job compares daemon answers against:
+ * the daemon's serve_warm_s=), autosaving into a scratch file and
+ * restoring nothing, producing the byte-identical cold document the
+ * CI smoke job compares daemon answers against:
  *
  *   softwatt-serve-client cold=1 warm_s=T spec="..." out=ref.json
  */
 
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -31,6 +30,7 @@
 #include "core/runner.hh"
 #include "serve/client.hh"
 #include "serve/executor.hh"
+#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/signals.hh"
 
@@ -72,33 +72,21 @@ runCold(const std::string &experiment, const std::string &specText,
         return 1;
     }
 
-    // Scratch pool (budget 0): the run autosaves at the daemon's
-    // cadence — checkpointing perturbs deterministically, so cadence
-    // must match for byte-identity — but restores nothing and
-    // retains nothing.
-    std::string scratchDir =
+    // The run autosaves at the daemon's cadence — checkpointing
+    // perturbs deterministically, so cadence must match for
+    // byte-identity — into a scratch file, and restores nothing.
+    spec.checkpointEveryS = warmS;
+    spec.checkpointPath =
         (outPath.empty() || outPath == "-" ? std::string("cold")
                                            : outPath) +
-        ".scratch";
-    std::error_code ec;
-    std::filesystem::create_directories(scratchDir, ec);
-    if (ec) {
-        std::cerr << "softwatt-serve-client: cannot create '"
-                  << scratchDir << "': " << ec.message() << "\n";
-        return 1;
-    }
-    serve::CheckpointPool scratch(scratchDir, 0);
+        ".scratch.ckpt";
 
     ScopedErrorHandler firewall(throwingErrorHandler);
     CancelToken token;
     SignalGuard guard(token);
-    serve::ServeExecOptions policy;
-    policy.title = experiment;
-    policy.warmEveryS = warmS;
-    policy.pool = &scratch;
     serve::ServeExecResult done =
-        serve::executeServeSpec(spec, policy, token);
-    std::filesystem::remove_all(scratchDir, ec);
+        serve::executeServeSpec(spec, experiment, token);
+    removeCheckpoint(spec.checkpointPath);
 
     std::ostringstream document;
     writeExperimentDocument(document, experiment,

@@ -5,14 +5,18 @@
  * Usage:
  *   softwatt-serve serve_socket=/tmp/sw.sock serve_state=/tmp/swstate
  *                  [serve_jobs=N] [serve_queue_max=N]
- *                  [serve_pool_mb=M] [serve_warm_s=T]
- *                  [serve_wall_timeout_s=T]
+ *                  [serve_warm_s=T] [serve_wall_timeout_s=T]
+ *                  [durability=buffered|full]
  *
  * The first SIGINT/SIGTERM/SIGHUP drains (no new admissions,
  * in-flight and queued jobs finish); a second cancels queued jobs and
  * hard-stops in-flight ones at their next sample window. A SIGKILL'd
  * daemon restarts into the same serve_state= directory and re-answers
- * finished jobs byte-identically from its journal.
+ * finished jobs byte-identically from its journal. With
+ * serve_warm_s= set, each job autosaves to
+ * serve_state/ckpt/<run fingerprint>.ckpt; a job cancelled or killed
+ * mid-flight leaves that file, and the next submission of the same
+ * spec resumes from it.
  */
 
 #include <iostream>
