@@ -2,25 +2,16 @@
  * @file
  * Crash-consistency sweep over the host-I/O seam (DESIGN.md §4k).
  *
- * Records two real durability sessions through the seam's op log:
+ * Records one real durability session through the seam's op log: a
+ * runner sweep under durability=full — resume journal appends with
+ * fdatasync barriers, periodic checkpoint autosaves (temp-then-rename
+ * with fsync'd directories), and the final atomic document write.
  *
- *  1. A runner sweep under durability=full — resume journal appends
- *     with fdatasync barriers, periodic checkpoint autosaves
- *     (temp-then-rename with fsync'd directories), and the final
- *     atomic document write.
- *  2. A softwatt-serve daemon under durability=full answering two
- *     specs at its autosave cadence. Per job, serve's write sequence
- *     is: autosaves to the run's key file
- *     (<state>/ckpt/<run fingerprint>.ckpt), the answer's journal
- *     append, then the key file's removal.
- *
- * It then replays EVERY op-log prefix of both sessions under every
+ * It then replays EVERY op-log prefix of the session under every
  * CrashVariant (synced-only, everything-persisted, torn-tail) into a
  * scratch directory and runs the real recovery code over the wreck:
- * the journal reader each owner uses (RunJournal::load for the
- * runner, RunJournal::loadLatest for the daemon) and checkpoint
- * restore with generation fallback (readNewestCheckpoint). Checked
- * invariants:
+ * the journal reader (RunJournal::load) and checkpoint restore with
+ * generation fallback (readNewestCheckpoint). Checked invariants:
  *
  *  - Recovery never crashes, whatever the prefix left behind.
  *  - Recovery never serves corrupt data: every journal entry that
@@ -35,7 +26,7 @@
  *    document and journal byte for byte.
  *
  * The run fails unless at least 200 distinct crash prefixes were
- * replayed (the sessions above yield several hundred).
+ * replayed (the session above yields several hundred).
  *
  * Keys: scale= (default 0.03), cadence_s= (default 0.0003),
  * state= (default a fresh directory under the system temp path),
@@ -52,7 +43,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -60,8 +50,6 @@
 #include "core/journal.hh"
 #include "core/json_writer.hh"
 #include "core/runner.hh"
-#include "serve/client.hh"
-#include "serve/server.hh"
 #include "sim/checkpoint.hh"
 #include "sim/host_io.hh"
 #include "sim/logging.hh"
@@ -108,19 +96,16 @@ struct Session
 {
     std::string name;
     std::vector<IoRecord> log;
-    std::string journalPath;              ///< "" when none.
-    /** The journal reader recovery uses for this session. */
-    std::vector<JournalEntry> (*loadJournal)(const std::string &) =
-        &RunJournal::load;
+    std::string journalPath;
     std::vector<JournalEntry> refEntries; ///< Journal ground truth.
-    std::string documentPath;             ///< "" when none.
+    std::string documentPath;
     std::string documentBytes;
     /** Every complete image payload that went through an atomic
      *  checkpoint write ("<dest>.tmp" Write ops). A recovered
      *  checkpoint file must byte-match one of these. */
     std::set<std::string> imagePayloads;
-    /** Atomic-rename destinations ending in ".ckpt" (runner and
-     *  serve autosaves): the files recovery probes. */
+    /** Atomic-rename destinations ending in ".ckpt" (the runner's
+     *  autosaves): the files recovery probes. */
     std::set<std::string> checkpointPaths;
 };
 
@@ -151,7 +136,7 @@ harvestCheckpoints(Session &session)
 }
 
 /**
- * Record session 1: a two-run sweep under durability=full with
+ * Record the session: a two-run sweep under durability=full with
  * checkpoint autosaves and a resume journal.
  */
 Session
@@ -185,87 +170,28 @@ recordSweep(const std::string &root, double scale, double cadenceS)
     return session;
 }
 
-/**
- * Record session 2: an in-process softwatt-serve daemon (one worker,
- * durability=full, autosaving at @p cadenceS) answering two specs
- * over its socket, one after the other.
- */
-Session
-recordServe(const std::string &root, double scale, double cadenceS)
-{
-    Session session;
-    session.name = "serve";
-    session.loadJournal = &RunJournal::loadLatest;
-
-    serve::ServeOptions options;
-    options.socketPath = root + "/serve.sock";
-    options.statePath = root + "/serve";
-    options.jobs = 1;
-    options.warmS = cadenceS;
-    options.durability = Durability::Full;
-
-    HostIo::instance().startRecording();
-    std::string error;
-    bool clean = false;
-    {
-        serve::ServeServer server(options);
-        if (!server.start(error))
-            fatal("crashsim: cannot start the daemon: " + error);
-        session.journalPath = server.journalPath();
-        CancelToken stop;
-        std::thread daemon([&server, &stop] { server.serveUntil(stop); });
-        serve::ServeClient client;
-        clean = client.connect(options.socketPath, error);
-        for (const char *bench : {"jess", "db"}) {
-            serve::ServeRequest request;
-            request.id = bench;
-            request.client = "crashsim";
-            std::ostringstream spec;
-            spec << "bench=" << bench << " scale=" << scale;
-            request.spec = spec.str();
-            serve::ServeResponse response;
-            clean = clean && client.call(request, response, error) &&
-                    response.status == serve::statusOk &&
-                    response.servedFrom == "executed";
-        }
-        stop.request(CancelToken::Drain);
-        daemon.join();
-    }
-    session.log = HostIo::instance().stopRecording();
-
-    if (!clean)
-        fatal("crashsim: the reference serve session must run clean " +
-              error);
-    session.refEntries = RunJournal::load(session.journalPath);
-    harvestCheckpoints(session);
-    return session;
-}
-
-/** Dump recorded op logs as JSONL (the CI failure artifact). */
+/** Dump the recorded op log as JSONL (the CI failure artifact). */
 void
-dumpOpLogs(const std::string &path,
-           const std::vector<Session> &sessions)
+dumpOpLog(const std::string &path, const Session &session)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    for (const Session &session : sessions) {
-        std::size_t index = 0;
-        for (const IoRecord &op : session.log) {
-            std::ostringstream line;
-            {
-                JsonWriter json(line, 0);
-                json.beginObject();
-                json.member("session", session.name);
-                json.member("op", std::int64_t(index));
-                json.member("kind", ioOpName(op.kind));
-                json.member("path", op.path);
-                json.member("path2", op.path2);
-                json.member("bytes", std::int64_t(op.data.size()));
-                json.member("truncate", op.truncate ? 1 : 0);
-                json.endObject();
-            }
-            out << line.str() << "\n";
-            ++index;
+    std::size_t index = 0;
+    for (const IoRecord &op : session.log) {
+        std::ostringstream line;
+        {
+            JsonWriter json(line, 0);
+            json.beginObject();
+            json.member("session", session.name);
+            json.member("op", std::int64_t(index));
+            json.member("kind", ioOpName(op.kind));
+            json.member("path", op.path);
+            json.member("path2", op.path2);
+            json.member("bytes", std::int64_t(op.data.size()));
+            json.member("truncate", op.truncate ? 1 : 0);
+            json.endObject();
         }
+        out << line.str() << "\n";
+        ++index;
     }
 }
 
@@ -311,37 +237,35 @@ verifyPrefix(Check &check, const Session &session,
         // Journal recovery: parseable entries must be reference
         // entries, and every fdatasync-acknowledged entry must have
         // survived — in EVERY variant, including the harshest one.
-        if (!session.journalPath.empty()) {
-            std::string replayJournal = mapToScratch(
-                session.journalPath, recordRoot, scratchRoot);
-            std::vector<JournalEntry> loaded =
-                session.loadJournal(replayJournal);
-            std::size_t acked = ackedSyncs(session.log, prefix,
-                                           session.journalPath);
-            check.expect(loaded.size() >= acked,
-                         where.str() + ": journal holds " +
-                             std::to_string(loaded.size()) + " of " +
-                             std::to_string(acked) +
-                             " acknowledged entries");
-            check.expect(loaded.size() <=
-                             session.refEntries.size(),
-                         where.str() + ": journal grew entries the "
-                                       "session never wrote");
-            for (std::size_t j = 0;
-                 j < loaded.size() &&
-                 j < session.refEntries.size();
-                 ++j) {
-                const JournalEntry &got = loaded[j];
-                const JournalEntry &want = session.refEntries[j];
-                check.expect(got.bench == want.bench &&
-                                 got.variant == want.variant &&
-                                 got.config == want.config &&
-                                 got.runJson == want.runJson,
-                             where.str() +
-                                 ": journal entry " +
-                                 std::to_string(j) +
-                                 " does not match the reference");
-            }
+        std::string replayJournal = mapToScratch(
+            session.journalPath, recordRoot, scratchRoot);
+        std::vector<JournalEntry> loaded =
+            RunJournal::load(replayJournal);
+        std::size_t acked = ackedSyncs(session.log, prefix,
+                                       session.journalPath);
+        check.expect(loaded.size() >= acked,
+                     where.str() + ": journal holds " +
+                         std::to_string(loaded.size()) + " of " +
+                         std::to_string(acked) +
+                         " acknowledged entries");
+        check.expect(loaded.size() <=
+                         session.refEntries.size(),
+                     where.str() + ": journal grew entries the "
+                                   "session never wrote");
+        for (std::size_t j = 0;
+             j < loaded.size() &&
+             j < session.refEntries.size();
+             ++j) {
+            const JournalEntry &got = loaded[j];
+            const JournalEntry &want = session.refEntries[j];
+            check.expect(got.bench == want.bench &&
+                             got.variant == want.variant &&
+                             got.config == want.config &&
+                             got.runJson == want.runJson,
+                         where.str() +
+                             ": journal entry " +
+                             std::to_string(j) +
+                             " does not match the reference");
         }
 
         // Checkpoint recovery: whatever the production reader
@@ -386,17 +310,13 @@ main(int argc, char **argv)
     fs::remove_all(base);
     fs::create_directories(recordRoot);
 
-    std::cout << "recording reference sessions under " << base
+    std::cout << "recording the reference session under " << base
               << "\n";
-    std::vector<Session> sessions;
-    sessions.push_back(recordSweep(recordRoot, scale, cadenceS));
-    sessions.push_back(recordServe(recordRoot, scale, cadenceS));
-    for (const Session &session : sessions) {
-        std::cout << "  " << session.name << ": "
-                  << session.log.size() << " host-I/O ops\n";
-    }
+    const Session session = recordSweep(recordRoot, scale, cadenceS);
+    std::cout << "  " << session.name << ": " << session.log.size()
+              << " host-I/O ops\n";
     if (!oplogOut.empty())
-        dumpOpLogs(oplogOut, sessions);
+        dumpOpLog(oplogOut, session);
 
     // Replaying is silent work; recovery legitimately warns about
     // the torn lines and images the crash states contain.
@@ -404,42 +324,32 @@ main(int argc, char **argv)
 
     Check check;
     std::size_t replays = 0;
-    for (const Session &session : sessions) {
-        for (std::size_t prefix = 0; prefix <= session.log.size();
-             ++prefix) {
-            for (CrashVariant variant : crashVariants) {
-                verifyPrefix(check, session, prefix, variant,
-                             recordRoot, scratchRoot);
-                ++replays;
-            }
-        }
-
-        // The fully-persisted synced-only state is what a power cut
-        // right after the last barrier leaves: it must reproduce the
-        // reference byte for byte.
-        replayCrashPrefix(session.log, session.log.size(),
-                          CrashVariant::SyncedOnly, recordRoot,
-                          scratchRoot);
-        if (!session.documentPath.empty()) {
-            check.expect(
-                slurp(mapToScratch(session.documentPath, recordRoot,
-                                   scratchRoot)) ==
-                    session.documentBytes,
-                session.name +
-                    ": final synced document differs from the "
-                    "reference");
-        }
-        if (!session.journalPath.empty()) {
-            check.expect(
-                session
-                        .loadJournal(mapToScratch(session.journalPath,
-                                                  recordRoot,
-                                                  scratchRoot))
-                        .size() == session.refEntries.size(),
-                session.name +
-                    ": final synced journal lost entries");
+    for (std::size_t prefix = 0; prefix <= session.log.size();
+         ++prefix) {
+        for (CrashVariant variant : crashVariants) {
+            verifyPrefix(check, session, prefix, variant, recordRoot,
+                         scratchRoot);
+            ++replays;
         }
     }
+
+    // The fully-persisted synced-only state is what a power cut right
+    // after the last barrier leaves: it must reproduce the reference
+    // byte for byte.
+    replayCrashPrefix(session.log, session.log.size(),
+                      CrashVariant::SyncedOnly, recordRoot,
+                      scratchRoot);
+    check.expect(slurp(mapToScratch(session.documentPath, recordRoot,
+                                    scratchRoot)) ==
+                     session.documentBytes,
+                 session.name +
+                     ": final synced document differs from the "
+                     "reference");
+    check.expect(RunJournal::load(mapToScratch(session.journalPath,
+                                               recordRoot,
+                                               scratchRoot))
+                         .size() == session.refEntries.size(),
+                 session.name + ": final synced journal lost entries");
 
     setLogLevel(LogLevel::Normal);
     check.expect(replays >= 200,
@@ -447,8 +357,8 @@ main(int argc, char **argv)
                      " crash prefixes replayed (need >= 200)");
 
     std::cout << "replayed " << replays
-              << " crash prefixes across " << sessions.size()
-              << " sessions: "
+              << " crash prefixes of the " << session.name
+              << " session: "
               << (check.failures == 0 ? "all invariants held"
                                       : std::to_string(
                                             check.failures) +

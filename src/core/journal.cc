@@ -139,38 +139,6 @@ RunJournal::load(const std::string &path)
     return entries;
 }
 
-std::vector<JournalEntry>
-RunJournal::loadLatest(const std::string &path)
-{
-    // Dedup by identity key, last occurrence winning: a journal that
-    // accumulated entries across daemon generations (append mode
-    // never truncates) may record the same job several times, and
-    // only the newest one reflects the final retry/diagnose state.
-    // Key order is first-seen so replay order stays deterministic.
-    std::vector<JournalEntry> entries = load(path);
-    std::vector<JournalEntry> latest;
-    std::vector<std::string> keys;
-    for (JournalEntry &entry : entries) {
-        std::string key = entry.experiment + '\x1f' + entry.bench +
-                          '\x1f' + entry.variant + '\x1f' +
-                          entry.config;
-        std::size_t slot = keys.size();
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            if (keys[i] == key) {
-                slot = i;
-                break;
-            }
-        }
-        if (slot == keys.size()) {
-            keys.push_back(std::move(key));
-            latest.push_back(std::move(entry));
-        } else {
-            latest[slot] = std::move(entry);
-        }
-    }
-    return latest;
-}
-
 JournalEntry
 makeJournalEntry(const std::string &experiment, const RunSpec &spec,
                  const std::string &fingerprint,

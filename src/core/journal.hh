@@ -114,17 +114,6 @@ class RunJournal
     static std::vector<JournalEntry>
     load(const std::string &path);
 
-    /**
-     * load() deduplicated on the (experiment, bench, variant,
-     * config) identity key: the last occurrence of each key wins
-     * (it reflects the final retry/diagnose state), and keys keep
-     * their first-seen order so replay stays deterministic. This is
-     * the read path for journals that accumulate across process
-     * generations, like the serve daemon's.
-     */
-    static std::vector<JournalEntry>
-    loadLatest(const std::string &path);
-
   private:
     HostFile out;
     Durability durability = Durability::Buffered;

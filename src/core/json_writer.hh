@@ -114,9 +114,8 @@ bool jsonUnescape(const std::string &text, std::string &out);
  * extract its JSON string value (unescaped). Escaped quotes inside
  * string values can never produce the `"key":` byte sequence, so a
  * plain substring search is exact for this self-generated format.
- * These extractors are shared by the resume journal and the serve
- * protocol, both of which only ever parse documents this codebase
- * wrote.
+ * The resume journal reads its lines with these extractors; it
+ * only ever parses lines this codebase wrote.
  */
 bool jsonExtractString(const std::string &line,
                        const std::string &key, std::string &out);

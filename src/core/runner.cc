@@ -545,30 +545,39 @@ restoredRun(const std::string &title, const RunSpec &spec,
     return run;
 }
 
-} // namespace
-
-void
-diagnoseRun(const std::string &title, const RunSpec &spec,
-            const CancelToken &token, BenchmarkRun &into)
+/**
+ * RAII error-handler swap: installs @p handler and restores the
+ * previous one on destruction, even on exception paths. The runner
+ * scopes the exception firewall with it.
+ */
+class ScopedErrorHandler
 {
-    status(msg() << "[" << title << "] diagnostic rerun of "
-                 << runLabel(spec)
-                 << " (invariant sweeps forced on)");
-    BenchmarkRun retry = runSpecProtected(title, spec, token,
-                                          /*forceInvariants=*/true);
-    retry.attempts = 2;
-    if (retry.result.outcome == RunOutcome::Failed &&
-        retry.error != into.error) {
-        retry.error =
-            into.error + "; diagnostic rerun: " + retry.error;
-        retry.result.diagnostics = retry.error;
-    }
-    into = std::move(retry);
-}
+  public:
+    explicit ScopedErrorHandler(ErrorHandler handler)
+        : previous(setErrorHandler(std::move(handler)))
+    {}
 
+    ~ScopedErrorHandler() { setErrorHandler(std::move(previous)); }
+
+    ScopedErrorHandler(const ScopedErrorHandler &) = delete;
+    ScopedErrorHandler &
+    operator=(const ScopedErrorHandler &) = delete;
+
+  private:
+    ErrorHandler previous;
+};
+
+/**
+ * Execute one spec entry behind the exception firewall: a throw
+ * (SimError from fatal()/panic(), or anything std::exception-derived
+ * from the model) becomes a Failed run record instead of taking the
+ * process down. Requires a throwing error handler to be installed
+ * (runExperiment scopes one).
+ */
 BenchmarkRun
 runSpecProtected(const std::string &title, const RunSpec &spec,
-                 const CancelToken &token, bool forceInvariants)
+                 const CancelToken &token,
+                 bool forceInvariants = false)
 {
     RunOptions options;
     options.cancel = &token;
@@ -595,17 +604,37 @@ runSpecProtected(const std::string &title, const RunSpec &spec,
     }
 }
 
-std::string
-renderRunJson(const BenchmarkRun &run)
+/**
+ * One-shot diagnostic rerun of the Failed spec @p spec whose record
+ * is @p into: invariant sweeps forced on. The rerun replaces the
+ * failed record (attempts=2); if it fails again with a different
+ * error, the two errors are joined. Leaves the log level alone;
+ * runExperiment's diagnose=1 pass raises verbosity around it.
+ */
+void
+diagnoseRun(const std::string &title, const RunSpec &spec,
+            const CancelToken &token, BenchmarkRun &into)
 {
-    std::ostringstream text;
-    {
-        JsonWriter json(text);
-        writeRunJson(json, run);
+    status(msg() << "[" << title << "] diagnostic rerun of "
+                 << runLabel(spec)
+                 << " (invariant sweeps forced on)");
+    BenchmarkRun retry = runSpecProtected(title, spec, token,
+                                          /*forceInvariants=*/true);
+    retry.attempts = 2;
+    if (retry.result.outcome == RunOutcome::Failed &&
+        retry.error != into.error) {
+        retry.error =
+            into.error + "; diagnostic rerun: " + retry.error;
+        retry.result.diagnostics = retry.error;
     }
-    return text.str();
+    into = std::move(retry);
 }
 
+/**
+ * Emit a complete softwatt-experiment-v2 document from pre-rendered
+ * run objects, so a document assembled from journaled runs is
+ * byte-identical to one rendered live.
+ */
 void
 writeExperimentDocument(std::ostream &out, const std::string &title,
                         bool interrupted,
@@ -623,6 +652,19 @@ writeExperimentDocument(std::ostream &out, const std::string &title,
     json.endArray();
     json.endObject();
     out << '\n';
+}
+
+} // namespace
+
+std::string
+renderRunJson(const BenchmarkRun &run)
+{
+    std::ostringstream text;
+    {
+        JsonWriter json(text);
+        writeRunJson(json, run);
+    }
+    return text.str();
 }
 
 void

@@ -281,72 +281,12 @@ class ExperimentResult
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
 /**
- * RAII error-handler swap: installs @p handler and restores the
- * previous one on destruction, even on exception paths. The runner
- * scopes the exception firewall with it; the serve daemon installs
- * throwingErrorHandler once for its whole lifetime.
- */
-class ScopedErrorHandler
-{
-  public:
-    explicit ScopedErrorHandler(ErrorHandler handler)
-        : previous(setErrorHandler(std::move(handler)))
-    {}
-
-    ~ScopedErrorHandler() { setErrorHandler(std::move(previous)); }
-
-    ScopedErrorHandler(const ScopedErrorHandler &) = delete;
-    ScopedErrorHandler &
-    operator=(const ScopedErrorHandler &) = delete;
-
-  private:
-    ErrorHandler previous;
-};
-
-/**
- * Execute one spec entry behind the exception firewall: a throw
- * (SimError from fatal()/panic(), or anything std::exception-derived
- * from the model) becomes a Failed run record instead of taking the
- * process down. Requires a throwing error handler to be installed
- * (runExperiment scopes one; the serve daemon installs its own).
- * This is the per-run building block runExperiment() schedules; the
- * serve daemon drives it directly because it cannot nest
- * runExperiment's SignalGuard per job.
- */
-BenchmarkRun runSpecProtected(const std::string &title,
-                              const RunSpec &spec,
-                              const CancelToken &token,
-                              bool forceInvariants = false);
-
-/**
- * One-shot diagnostic rerun of the Failed spec @p spec whose record
- * is @p into: invariant sweeps forced on. The rerun replaces the
- * failed record (attempts=2); if it fails again with a different
- * error, the two errors are joined. Leaves the log level alone, so
- * concurrent callers (serve workers) may use it; runExperiment's
- * diagnose=1 pass raises verbosity around it.
- */
-void diagnoseRun(const std::string &title, const RunSpec &spec,
-                 const CancelToken &token, BenchmarkRun &into);
-
-/**
  * Render one run's pretty JSON object as standalone text. The same
  * text is spliced into the final document (via JsonWriter::rawValue)
  * and stored in the resume journal, so a restored run is
  * byte-identical to a live one by construction.
  */
 std::string renderRunJson(const BenchmarkRun &run);
-
-/**
- * Emit a complete softwatt-experiment-v2 document from pre-rendered
- * run objects. ExperimentResult::writeJson and the serve daemon both
- * funnel through here, so a document assembled from journaled or
- * served runs is byte-identical to one written by runExperiment().
- */
-void writeExperimentDocument(std::ostream &out,
-                             const std::string &title,
-                             bool interrupted,
-                             const std::vector<std::string> &runJsons);
 
 } // namespace softwatt
 

@@ -235,7 +235,7 @@ CheckpointImage readCheckpoint(const std::string &path);
 
 /*
  * Two-generation checkpoint files. Every checkpoint that must
- * survive a crash — a runner or serve run's autosave — keeps its
+ * survive a crash — a runner's autosave — keeps its
  * newest image at <path> and one older generation at "<path>.1",
  * and only the functions below know it:
  *

@@ -15,8 +15,8 @@ std::atomic<LogLevel> globalLevel{LogLevel::Normal};
 
 /**
  * Guards the global error handler. std::function cannot be atomic,
- * and the serve daemon's worker threads read the handler inside
- * fatal()/panic() while other threads may install one, so every
+ * and an experiment's worker threads (jobs>1) read the handler inside
+ * fatal()/panic() while another thread may install one, so every
  * access goes through this mutex; fatal()/panic() copy the handler
  * out and invoke it unlocked (a handler is free to throw or to
  * install another handler).
@@ -66,13 +66,6 @@ setErrorHandler(ErrorHandler handler)
     ErrorHandler previous = std::move(globalErrorHandler);
     globalErrorHandler = std::move(handler);
     return previous;
-}
-
-bool
-errorHandlerInstalled()
-{
-    std::lock_guard<std::mutex> lock(handlerMutex());
-    return bool(globalErrorHandler);
 }
 
 void

@@ -71,9 +71,6 @@ using ErrorHandler =
  */
 ErrorHandler setErrorHandler(ErrorHandler handler);
 
-/** Whether an error handler is currently installed. */
-bool errorHandlerInstalled();
-
 /** Exception thrown by throwingErrorHandler(). */
 class SimError : public std::runtime_error
 {

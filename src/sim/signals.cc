@@ -48,9 +48,8 @@ SignalGuard::SignalGuard(CancelToken &token)
     action.sa_flags = 0;
     // SIGHUP takes the same path as SIGTERM: a vanished controlling
     // terminal means "wrap up", not "die mid-write".
-    // SIGPIPE is ignored outright: a disconnected peer must surface
-    // as an EPIPE write error handled per-session, never as a
-    // process-killing signal.
+    // SIGPIPE is ignored outright: a closed output pipe must surface
+    // as an EPIPE write error, never as a process-killing signal.
     struct sigaction ignore = {};
     ignore.sa_handler = SIG_IGN;
     sigemptyset(&ignore.sa_mask);

@@ -9,12 +9,12 @@
  * graceful-drain treatment as SIGTERM so a closed terminal or a
  * dropped ssh connection checkpoints and journals in-flight work
  * instead of killing the sweep. While a guard is active, SIGPIPE is
- * ignored: a peer that disconnects mid-write (a serve client gone
- * away, a closed pipe on the report stream) surfaces as an EPIPE
- * write error the caller can handle per-session instead of a signal
- * that kills the process. The guard restores the previous handlers
- * on destruction, so signal disposition never leaks past the
- * experiment (or daemon) that installed it.
+ * ignored: a reader that goes away mid-write (say, `| head` on the
+ * report stream) surfaces as an EPIPE write error the caller can
+ * handle instead of a signal that kills the sweep before it journals
+ * its runs. The guard restores the previous handlers on destruction,
+ * so signal disposition never leaks past the experiment that
+ * installed it.
  *
  * The determinism linter (tools/lint, rule raw-signal) bans
  * signal()/sigaction() everywhere else: ad-hoc handlers would race

@@ -51,20 +51,6 @@ ThreadPool::cancelPending()
 }
 
 void
-ThreadPool::setPendingLimit(std::size_t limit)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    pendingLimit = limit;
-}
-
-std::size_t
-ThreadPool::pendingJobs() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return jobs.size();
-}
-
-void
 ThreadPool::enqueue(std::function<void()> job)
 {
     {
@@ -72,19 +58,6 @@ ThreadPool::enqueue(std::function<void()> job)
         jobs.push_back(std::move(job));
     }
     wakeWorkers.notify_one();
-}
-
-bool
-ThreadPool::tryEnqueue(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (pendingLimit != 0 && jobs.size() >= pendingLimit)
-            return false;
-        jobs.push_back(std::move(job));
-    }
-    wakeWorkers.notify_one();
-    return true;
 }
 
 void

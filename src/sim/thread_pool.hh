@@ -17,7 +17,6 @@
 #include <functional>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -56,9 +55,7 @@ class ThreadPool
 
     /**
      * Enqueue a callable; its result (or exception) is delivered
-     * through the returned future. Never rejects: submit() ignores
-     * the pending-queue bound (see setPendingLimit), so existing
-     * callers keep their unbounded-queue semantics.
+     * through the returned future. The queue is unbounded.
      */
     template <typename F>
     auto
@@ -69,37 +66,6 @@ class ThreadPool
             std::forward<F>(job));
         std::future<R> result = task->get_future();
         enqueue([task] { (*task)(); });
-        return result;
-    }
-
-    /**
-     * Bound on queued-but-unstarted jobs that trySubmit() enforces;
-     * 0 (the default) means unlimited. This is the admission-control
-     * primitive: a server sheds load by bounding the pending queue
-     * and failing fast instead of buffering without limit.
-     */
-    void setPendingLimit(std::size_t limit);
-
-    /** Jobs queued but not yet picked up by a worker. */
-    std::size_t pendingJobs() const;
-
-    /**
-     * submit() that fails fast under load: when the pending queue
-     * already holds setPendingLimit() jobs, nothing is enqueued and
-     * nullopt is returned so the caller can shed or retry. With no
-     * limit configured it behaves exactly like submit().
-     */
-    template <typename F>
-    auto
-    trySubmit(F &&job)
-        -> std::optional<std::future<std::invoke_result_t<F>>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(job));
-        std::future<R> result = task->get_future();
-        if (!tryEnqueue([task] { (*task)(); }))
-            return std::nullopt;
         return result;
     }
 
@@ -117,7 +83,6 @@ class ThreadPool
 
   private:
     void enqueue(std::function<void()> job);
-    bool tryEnqueue(std::function<void()> job);
     void workerLoop();
 
     mutable std::mutex mutex;
@@ -125,7 +90,6 @@ class ThreadPool
     std::deque<std::function<void()>> jobs;
     std::vector<std::thread> workers;
     std::uint64_t numCompleted = 0;
-    std::size_t pendingLimit = 0;
     bool shuttingDown = false;
 };
 

@@ -378,10 +378,10 @@ void cleanup(const std::string &tmp, const std::string &path)
     hostRename(tmp, path, Durability::Full);
 }
 )";
-    auto findings = run({{"src/serve/widget.cc", source}});
+    auto findings = run({{"src/core/widget.cc", source}});
     auto durability = withRule(findings, "durability-io");
     ASSERT_EQ(durability.size(), 1u);
-    EXPECT_EQ(durability[0].path, "src/serve/widget.cc");
+    EXPECT_EQ(durability[0].path, "src/core/widget.cc");
     EXPECT_EQ(durability[0].line, 4);
     EXPECT_NE(durability[0].message.find("IoStatus"),
               std::string::npos);
@@ -398,7 +398,7 @@ bool swap(const std::string &tmp, const std::string &path)
     return moved.ok;
 }
 )";
-    auto findings = run({{"src/serve/widget.cc", source}});
+    auto findings = run({{"src/core/widget.cc", source}});
     EXPECT_TRUE(withRule(findings, "durability-io").empty());
 }
 

@@ -5,13 +5,12 @@
  * writes, torn renames, crash-at-op, byte budgets), op-log recording
  * and prefix replay under every CrashVariant, and the structured
  * degradation paths — journal append failure degrades a sweep to
- * non-durable mode (and resume=1 splices what landed), autosave
- * ENOSPC degrades a run to checkpoint-less execution, and the serve
- * protocol carries the degraded flag.
+ * non-durable mode (and resume=1 splices what landed), and autosave
+ * ENOSPC degrades a run to checkpoint-less execution.
  *
  * The exhaustive prefix sweep (hundreds of prefixes over a recorded
- * runner sweep and serve session) lives in bench_crashsim; the
- * tests here cover each invariant once with small recorded sessions.
+ * runner sweep) lives in bench_crashsim; the tests here cover each
+ * invariant once with small recorded sessions.
  */
 
 #include <filesystem>
@@ -19,7 +18,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,10 +25,6 @@
 #include "core/journal.hh"
 #include "core/runner.hh"
 #include "core/system.hh"
-#include "serve/client.hh"
-#include "serve/executor.hh"
-#include "serve/protocol.hh"
-#include "serve/server.hh"
 #include "sim/checkpoint.hh"
 #include "sim/host_io.hh"
 #include "sim/logging.hh"
@@ -330,113 +324,6 @@ TEST(CrashReplay, AutosaveChainNeverServesACorruptImage)
     fs::remove_all(replay);
 }
 
-TEST(CrashReplay, ServeAnswerThenRemoveNeverLosesBankedProgress)
-{
-    QuietLog quiet;
-    const std::string rec = scratch("serve_rec");
-    const std::string replay = scratch("serve_replay");
-    fs::remove_all(rec);
-    fs::create_directories(rec);
-
-    // A real daemon answers one spec under durability=full. Serve's
-    // write sequence for the job: autosaves to the run's key file,
-    // the answer's journal append, then the key file's removal.
-    serve::ServeOptions options;
-    options.socketPath = rec + "/serve.sock";
-    options.statePath = rec + "/state";
-    options.jobs = 1;
-    options.warmS = 0.0002;
-    options.durability = Durability::Full;
-    const std::string specText = "bench=jess scale=0.01";
-    std::string keyFile;
-    {
-        RunSpec spec;
-        std::string bench, error;
-        ASSERT_TRUE(serve::parseServeSpec(specText, spec, bench, error))
-            << error;
-        spec.checkpointEveryS = options.warmS;
-        keyFile = options.checkpointPath(specFingerprint(spec));
-    }
-    HostIo::instance().startRecording();
-    {
-        serve::ServeServer server(options);
-        std::string error;
-        ASSERT_TRUE(server.start(error)) << error;
-        CancelToken stop;
-        std::thread daemon([&server, &stop] { server.serveUntil(stop); });
-        serve::ServeClient client;
-        serve::ServeResponse response;
-        serve::ServeRequest request;
-        request.id = "job";
-        request.client = "crashsim";
-        request.spec = specText;
-        bool called = client.connect(options.socketPath, error) &&
-                      client.call(request, response, error);
-        stop.request(CancelToken::Drain);
-        daemon.join();
-        ASSERT_TRUE(called) << error;
-        ASSERT_EQ(response.status, "ok") << response.error;
-    }
-    std::vector<IoRecord> log = HostIo::instance().stopRecording();
-    const std::string journalFile = rec + "/state/serve.journal.jsonl";
-    const std::vector<JournalEntry> answer = RunJournal::load(journalFile);
-    ASSERT_EQ(answer.size(), 1u);
-
-    // The first autosave is banked once the directory sync after its
-    // rename into the key file lands.
-    std::size_t banked = log.size() + 1;
-    bool published = false;
-    for (std::size_t i = 0; i < log.size() && banked > log.size(); ++i) {
-        published |= log[i].kind == IoOpKind::Rename &&
-                     log[i].path2 == keyFile;
-        if (published && log[i].kind == IoOpKind::DirSync)
-            banked = i + 1;
-    }
-    ASSERT_LE(banked, log.size());
-
-    const auto toReplay = [&](const std::string &path) {
-        return replay + path.substr(rec.size());
-    };
-    for (std::size_t prefix = 0; prefix <= log.size(); ++prefix) {
-        for (CrashVariant variant : crashVariants) {
-            replayCrashPrefix(log, prefix, variant, rec, replay);
-            std::string where = "prefix " + std::to_string(prefix) +
-                                " variant " + crashVariantName(variant);
-            // Recovery is the daemon's own: the journal reader it
-            // replays answers with, and the checkpoint reader a
-            // resumed job restores through.
-            std::vector<JournalEntry> loaded =
-                RunJournal::loadLatest(toReplay(journalFile));
-            ASSERT_LE(loaded.size(), 1u) << where;
-            EXPECT_GE(loaded.size(), ackedSyncs(log, prefix, journalFile))
-                << where;
-            if (!loaded.empty()) {
-                EXPECT_EQ(loaded[0].runJson, answer[0].runJson)
-                    << where;
-            }
-            bool restorable = false;
-            try {
-                readNewestCheckpoint(toReplay(keyFile));
-                restorable = true;
-            } catch (const CheckpointError &) {
-                // Neither generation verifies, or none exists.
-            }
-            // Once progress is banked, a crash keeps the answer or
-            // the progress: the removal follows the journal append.
-            if (prefix >= banked) {
-                EXPECT_TRUE(!loaded.empty() || restorable) << where;
-            }
-        }
-    }
-
-    // The fully-persisted synced-only state holds the answer.
-    replayCrashPrefix(log, log.size(), CrashVariant::SyncedOnly, rec,
-                      replay);
-    EXPECT_EQ(RunJournal::loadLatest(toReplay(journalFile)).size(), 1u);
-    fs::remove_all(rec);
-    fs::remove_all(replay);
-}
-
 TEST(DurabilityDegrade, JournalEnospcMidSweepDegradesAndResumes)
 {
     QuietLog quiet;
@@ -531,28 +418,6 @@ TEST(DurabilityDegrade, AutosaveEnospcContinuesCheckpointless)
     EXPECT_EQ(sys->cpu().committedInsts(),
               healthy->cpu().committedInsts());
     hostRemoveBestEffort(ckpt + ".tmp");
-}
-
-TEST(ServeDurability, DegradedFlagRoundTripsTheProtocol)
-{
-    serve::ServeResponse response;
-    response.id = "job-1";
-    response.status = "ok";
-    response.degraded = true;
-    response.document = "{}";
-
-    serve::ServeResponse parsed;
-    std::string error;
-    ASSERT_TRUE(serve::parseServeResponse(
-        serve::renderServeResponse(response), parsed, error))
-        << error;
-    EXPECT_TRUE(parsed.degraded);
-
-    // Absent or zero stays false (older daemons never set it).
-    response.degraded = false;
-    ASSERT_TRUE(serve::parseServeResponse(
-        serve::renderServeResponse(response), parsed, error));
-    EXPECT_FALSE(parsed.degraded);
 }
 
 TEST(DurabilityDegrade, FromArgsParsesDurabilityAndFaultKeys)

@@ -1,13 +1,15 @@
 /**
  * @file
- * Golden digests for the MXS (out-of-order) core.
+ * Golden digests for the MXS (out-of-order) core and the Mipsy
+ * (in-order) core.
  *
  * Each case runs one benchmark on cpu.model=mxs at a small scale and
  * hashes (FNV-1a-64) its canonical run document (renderRunJson) plus
- * its sample-log CSV. The digests are pinned in tests/golden/mxs.txt,
- * so any change in simulated behaviour of the superscalar core, the
- * memory system or the kernel streams it drives shows as a failure
- * here and as a diff of that file.
+ * its sample-log CSV; the cpu.model=mipsy cases override the model.
+ * The digests are pinned in tests/golden/mxs.txt, so any change in
+ * simulated behaviour of either core, the memory system or the
+ * kernel streams they drive shows as a failure here and as a diff of
+ * that file.
  *
  * Regenerate only for a deliberate model change (and say which one in
  * CHANGES.md):
@@ -71,6 +73,9 @@ goldenCases()
     cases.push_back({Benchmark::Jess, "cpu.int_alus=1"});
     cases.push_back({Benchmark::Jess, "tlb.entries=8"});
     cases.push_back({Benchmark::Jess, "cpu.issue_width=1"});
+    // The in-order core on every benchmark.
+    for (Benchmark bench : allBenchmarks)
+        cases.push_back({bench, "cpu.model=mipsy"});
     return cases;
 }
 
@@ -87,8 +92,9 @@ runDigest(const GoldenCase &c)
 {
     Config config;
     config.parseAssignment("cpu.model=mxs");
-    // Each run takes under 0.6 M cycles; the cap turns a core that
-    // livelocks into a failed run instead of a hung test.
+    // Each run takes under 1.2 M cycles (MXS runs under 0.6 M); the
+    // cap turns a core that livelocks into a failed run instead of a
+    // hung test.
     config.parseAssignment("max_cycles=20000000");
     std::istringstream in(c.overrides);
     std::string kv;

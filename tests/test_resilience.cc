@@ -271,6 +271,9 @@ TEST(RunnerResilience, HardCancelStopsInFlightRunAtWindowBoundary)
 
 TEST(RunnerResilience, SignalGuardInstallsAndRestoresHandlers)
 {
+    struct sigaction pipeBefore = {};
+    ASSERT_EQ(sigaction(SIGPIPE, nullptr, &pipeBefore), 0);
+
     CancelToken token;
     EXPECT_FALSE(SignalGuard::active());
     {
@@ -282,8 +285,18 @@ TEST(RunnerResilience, SignalGuardInstallsAndRestoresHandlers)
         ASSERT_EQ(raise(SIGTERM), 0);
         EXPECT_EQ(token.level(), CancelToken::Hard);
         EXPECT_EQ(SignalGuard::deliveredSignals(), 2);
+
+        // A closed output pipe must surface as EPIPE, not kill us.
+        struct sigaction pipeInside = {};
+        ASSERT_EQ(sigaction(SIGPIPE, nullptr, &pipeInside), 0);
+        EXPECT_EQ(pipeInside.sa_handler, SIG_IGN);
     }
     EXPECT_FALSE(SignalGuard::active());
+
+    // The previous SIGPIPE disposition comes back with the guard.
+    struct sigaction pipeAfter = {};
+    ASSERT_EQ(sigaction(SIGPIPE, nullptr, &pipeAfter), 0);
+    EXPECT_EQ(pipeAfter.sa_handler, pipeBefore.sa_handler);
 }
 
 TEST(RunnerResilience, SighupDrainsLikeSigterm)
@@ -542,6 +555,8 @@ TEST(RunnerResilience, TornJournalLineIsSkippedOnLoad)
     QuietLog quiet;
     const std::string out = scratch("torn.json");
     removeOutputs(out);
+    // No journal yet: a missing file loads as no entries.
+    EXPECT_TRUE(RunJournal::load(journalPathFor(out)).empty());
 
     ExperimentSpec spec;
     spec.title = "torn";

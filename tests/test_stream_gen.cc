@@ -130,8 +130,9 @@ TEST(StreamGen, NoColdAccessesWhenDisabled)
     MicroOp op;
     for (int i = 0; i < 50000; ++i) {
         gen.next(op);
-        if (op.isMemOp())
+        if (op.isMemOp()) {
             ASSERT_LT(op.memAddr, s.dataBase + s.hotFootprint);
+        }
     }
 }
 

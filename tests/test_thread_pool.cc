@@ -190,84 +190,3 @@ TEST(ThreadPool, CancelPendingOnIdlePoolIsANoOp)
     auto f = pool.submit([] { return 5; });
     EXPECT_EQ(f.get(), 5);
 }
-
-TEST(ThreadPool, TrySubmitWithoutLimitBehavesLikeSubmit)
-{
-    ThreadPool pool(2);
-    auto maybe = pool.trySubmit([] { return 7; });
-    ASSERT_TRUE(maybe.has_value());
-    EXPECT_EQ(maybe->get(), 7);
-}
-
-TEST(ThreadPool, TrySubmitShedsAtThePendingBound)
-{
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    ThreadPool pool(1);
-    pool.setPendingLimit(2);
-
-    // Occupy the lone worker so subsequent jobs stay pending.
-    auto running = pool.submit([&] {
-        started = true;
-        while (!release.load())
-            std::this_thread::yield();
-        return 0;
-    });
-    while (!started.load())
-        std::this_thread::yield();
-
-    auto first = pool.trySubmit([] { return 1; });
-    auto second = pool.trySubmit([] { return 2; });
-    ASSERT_TRUE(first.has_value());
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(pool.pendingJobs(), 2u);
-
-    // The bound is reached: trySubmit fails fast, nothing enqueued.
-    auto rejected = pool.trySubmit([] { return 3; });
-    EXPECT_FALSE(rejected.has_value());
-    EXPECT_EQ(pool.pendingJobs(), 2u);
-
-    // submit() ignores the bound (unbounded legacy semantics).
-    auto forced = pool.submit([] { return 4; });
-    EXPECT_EQ(pool.pendingJobs(), 3u);
-
-    release = true;
-    EXPECT_EQ(running.get(), 0);
-    EXPECT_EQ(first->get(), 1);
-    EXPECT_EQ(second->get(), 2);
-    EXPECT_EQ(forced.get(), 4);
-
-    // With the queue drained, trySubmit admits again.
-    auto after = pool.trySubmit([] { return 5; });
-    ASSERT_TRUE(after.has_value());
-    EXPECT_EQ(after->get(), 5);
-}
-
-TEST(ThreadPool, PendingLimitZeroMeansUnlimited)
-{
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    ThreadPool pool(1);
-    pool.setPendingLimit(1);
-
-    auto running = pool.submit([&] {
-        started = true;
-        while (!release.load())
-            std::this_thread::yield();
-        return 0;
-    });
-    while (!started.load())
-        std::this_thread::yield();
-
-    ASSERT_TRUE(pool.trySubmit([] { return 1; }).has_value());
-    EXPECT_FALSE(pool.trySubmit([] { return 2; }).has_value());
-
-    // Lifting the limit re-admits immediately.
-    pool.setPendingLimit(0);
-    auto admitted = pool.trySubmit([] { return 3; });
-    ASSERT_TRUE(admitted.has_value());
-
-    release = true;
-    EXPECT_EQ(running.get(), 0);
-    EXPECT_EQ(admitted->get(), 3);
-}

@@ -799,7 +799,6 @@ durabilityFiles()
         "src/sim/checkpoint.cc",
         "src/core/journal.cc",
         "src/core/system.cc",
-        "src/serve/server.cc",
     };
     return files;
 }
@@ -919,9 +918,6 @@ layerDag()
         {"workload", {"sim", "cpu", "os"}},
         {"core",
          {"sim", "power", "mem", "disk", "cpu", "os", "workload"}},
-        {"serve",
-         {"sim", "power", "mem", "disk", "cpu", "os", "workload",
-          "core"}},
     };
     return dag;
 }

@@ -40,7 +40,7 @@
  *                         power->os edges and the like).
  *
  *   durability-io         Durability-owning files (checkpoint,
- *                         journal, system autosave, serve) must not
+ *                         journal, system autosave) must not
  *                         bypass the host-I/O seam with raw
  *                         ::rename()/::remove(), ofstream or fopen;
  *                         and anywhere in src/, the IoStatus
