@@ -202,13 +202,38 @@ TEST(RunnerResilience, DeadlineExpiryIsARecordedOutcome)
     EXPECT_TRUE(expired.hasData());  // partial stats survive
     EXPECT_FALSE(expired.result.diagnostics.empty());
 
-    // The deadline is simulated time, so expiry is deterministic.
+    // The deadline is simulated time, so expiry is deterministic:
+    // the run stops at this exact cycle on every host.
+    EXPECT_EQ(expired.result.cycles, 200'000u);
     ExperimentResult again = runExperiment(spec);
     EXPECT_EQ(expired.result.cycles, again.at(0).result.cycles);
 
     // An expired budget is a recorded outcome, not a sweep failure.
     EXPECT_EQ(result.at(1).result.outcome, RunOutcome::Completed);
     EXPECT_EQ(result.exitCode(), 0);
+}
+
+TEST(RunnerResilience, EarlierOfDeadlineAndCycleCapStopsTheRun)
+{
+    QuietLog quiet;
+    // A 1 ms deadline is 200,000 cycles at the default 200 MHz.
+    SystemConfig deadline_first;
+    deadline_first.deadlineSeconds = 1e-3;
+    deadline_first.maxCycles = 300'000;
+    BenchmarkRun run = runBenchmark(Benchmark::Jess, deadline_first, 0.05);
+    EXPECT_EQ(run.result.outcome, RunOutcome::DeadlineExceeded);
+    EXPECT_EQ(run.result.cycles, 200'000u);
+    EXPECT_NE(run.result.diagnostics.find("deadline"), std::string::npos);
+
+    SystemConfig cap_first;
+    cap_first.deadlineSeconds = 1e-3;
+    cap_first.maxCycles = 150'000;
+    run = runBenchmark(Benchmark::Jess, cap_first, 0.05);
+    // Checked once per loop iteration: an idle fast-forward that
+    // crosses the cap ends the run at the event it jumped to.
+    EXPECT_EQ(run.result.outcome, RunOutcome::WatchdogExpired);
+    EXPECT_EQ(run.result.cycles, 154'591u);
+    EXPECT_NE(run.result.diagnostics.find("watchdog"), std::string::npos);
 }
 
 TEST(RunnerResilience, SpecDeadlineOnlyFillsUnsetRunBudgets)
