@@ -13,7 +13,9 @@
 #ifndef SOFTWATT_CPU_STREAM_GEN_HH
 #define SOFTWATT_CPU_STREAM_GEN_HH
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "sim/random.hh"
 #include "sim/types.hh"
@@ -89,7 +91,27 @@ struct StreamSpec
 class StreamGen : public InstSource
 {
   public:
+    /** Length of the repeating per-site class pattern. */
+    static constexpr int patternLength = 128;
+
+    /** Instruction class of each site position, as InstClass values. */
+    using ClassPattern = std::array<std::uint8_t, patternLength>;
+
     StreamGen(const StreamSpec &spec, std::uint64_t seed);
+
+    /**
+     * The class pattern of @p spec's instruction mix. It depends only
+     * on the five frac* fields, so it is built once per mix (keyed on
+     * their exact bit patterns) in a memo private to the calling
+     * thread: no lock, and jobs>1 workers never share an entry.
+     */
+    static const ClassPattern &classPatternFor(const StreamSpec &spec);
+
+    /** The same pattern built from scratch: the memo's only filler. */
+    static ClassPattern buildClassPattern(const StreamSpec &spec);
+
+    /** Mixes in the calling thread's memo (frac* fields set only). */
+    static std::vector<StreamSpec> memoisedMixes();
 
     FetchOutcome next(MicroOp &op) override;
 
@@ -100,7 +122,7 @@ class StreamGen : public InstSource
 
     /**
      * Checkpointing: the spec plus all dynamic state. loadState
-     * replaces this generator's spec with the saved one and rebuilds
+     * replaces this generator's spec with the saved one and reloads
      * the (spec-derived, rng-free) class pattern, so a generator
      * restored into a dummy-constructed instance continues the saved
      * stream exactly.
@@ -113,11 +135,8 @@ class StreamGen : public InstSource
     Random rng;
 
     /** Repeating per-site class pattern with the spec's exact mix. */
-    static constexpr int patternLength = 128;
-    // ckpt:derived: rebuilt from streamSpec by buildClassPattern()
-    std::uint8_t classPattern[patternLength];
-
-    void buildClassPattern();
+    // ckpt:derived: copied from classPatternFor(streamSpec)
+    ClassPattern classPattern;
 
     Addr pc;
     Addr nextDataAddr;

@@ -513,10 +513,8 @@ Kernel::requestDiskBlocks(std::uint64_t block,
 }
 
 bool
-Kernel::idleWaiting() const
+Kernel::frameWaitingForIo() const
 {
-    if (pendingClockInt)
-        return false;
     const Frame *frame = activeFrame();
     return frame != nullptr && frame->ioService != nullptr &&
            frame->ioService->waitingForIo();

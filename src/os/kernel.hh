@@ -184,8 +184,14 @@ class Kernel : public KernelIface, public IoContext,
     /**
      * True when the machine is only executing the idle loop while
      * waiting for an external event — the idle fast-forward window.
+     * Asked every cycle: the early outs are inline, the frame walk
+     * is not.
      */
-    bool idleWaiting() const;
+    bool
+    idleWaiting() const
+    {
+        return !pendingClockInt && !stack.empty() && frameWaitingForIo();
+    }
 
     /** Accounting for one service. */
     const ServiceStats &
@@ -325,6 +331,9 @@ class Kernel : public KernelIface, public IoContext,
 
     /** First frame (from the top) still producing instructions. */
     Frame *activeFrame() const;
+
+    /** The active frame is an I/O service blocked on the disk. */
+    bool frameWaitingForIo() const;
 
     /** Attach squashed ops (minus idle) for replay at this level. */
     void stashReplay(std::vector<MicroOp> replay);
