@@ -435,6 +435,13 @@ class System : public PowerMeter
     Cycles ffCycles = 0;
     Cycles detailCycles = 0;
 
+    /** detailCycles when the open sample window began. */
+    Cycles windowDetailStart = 0;
+
+    /** Detailed cycles of the closed windows since the last one that
+     *  committed an instruction (the no-progress watchdog's sum). */
+    Cycles quietDetailCycles = 0;
+
     /** Consecutive idle-wait cycles (hoisted from run() so it can
      *  cross a checkpoint: fast-forward timing must not depend on
      *  whether the run was restored). */
@@ -476,6 +483,12 @@ class System : public PowerMeter
      * returns true when the run must stop now.
      */
     bool cancellationRequested(RunResult &result);
+
+    /**
+     * Window-boundary no-progress watchdog: fills @p result and
+     * returns true once the quiet sum passes noProgressLimit.
+     */
+    bool noProgress(RunResult &result) const;
 
     /** Skip ahead to the next event, charging bulk idle activity. */
     void fastForwardToNextEvent();

@@ -63,7 +63,7 @@ class CheckpointMismatch : public CheckpointError
 };
 
 /** Bumped whenever the chunk contents change incompatibly. */
-constexpr std::uint16_t checkpointFormatVersion = 1;
+constexpr std::uint16_t checkpointFormatVersion = 2;
 
 /** FNV-1a-64 of a byte range (the per-chunk payload checksum). */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size);

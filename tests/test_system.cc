@@ -10,6 +10,7 @@
 
 #include "core/experiment.hh"
 #include "core/system.hh"
+#include "sim/config.hh"
 
 using namespace softwatt;
 
@@ -82,6 +83,43 @@ TEST(System, FastForwardSkipsIdleWaits)
     EXPECT_GT(sys.fastForwardedCycles(), 0u);
     EXPECT_GT(sys.totals().get(ExecMode::Idle, CounterId::Cycles),
               sys.fastForwardedCycles() / 2);
+}
+
+TEST(System, NoProgressWatchdogEndsARunThatStopsCommitting)
+{
+    // A memory latency of three million cycles: the first miss holds
+    // the core for longer than the no-progress limit.
+    SystemConfig config;
+    config.cpuModel = CpuModel::InOrder;
+    config.machine.memoryLatency = 3'000'000;
+    BenchmarkRun run = runBenchmark(Benchmark::Jess, config, 0.01);
+    EXPECT_EQ(run.result.outcome, RunOutcome::WatchdogExpired);
+    EXPECT_NE(run.result.diagnostics.find("no commit"),
+              std::string::npos)
+        << run.result.diagnostics;
+    // Ended at the first window boundary past a million quiet
+    // detailed cycles, far short of max_cycles.
+    EXPECT_GT(run.system->detailedCycles(), 1'000'000u);
+    EXPECT_LT(run.result.cycles, 3'000'000u);
+}
+
+TEST(System, HaltedIdleWaitIsNotAStall)
+{
+    // Real-time disk latency (time_scale=1), a halted idle core and
+    // no fast-forward: each disk wait is millions of detailed cycles
+    // without a commit, which the no-progress watchdog must not
+    // count.
+    Config args;
+    args.parseAssignment("cpu.model=mipsy");
+    args.parseAssignment("halt_on_idle=1");
+    args.parseAssignment("time_scale=1");
+    SystemConfig config = SystemConfig::fromConfig(args);
+    config.idleFastForwardAfter = ~Cycles(0) / 2;  // never
+    BenchmarkRun run = runBenchmark(Benchmark::Jess, config, 0.01);
+    EXPECT_EQ(run.result.outcome, RunOutcome::Completed)
+        << run.result.diagnostics;
+    EXPECT_EQ(run.system->fastForwardedCycles(), 0u);
+    EXPECT_GT(run.system->detailedCycles(), 10'000'000u);
 }
 
 TEST(System, PowerBreakdownIsPositiveAndComplete)
